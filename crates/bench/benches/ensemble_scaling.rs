@@ -23,7 +23,6 @@ fn config(replicas: usize, threads: usize, mcs: usize) -> EnsembleConfig {
     EnsembleConfig {
         replicas,
         threads,
-        batch_width: 0,
         schedule: BetaSchedule::linear(10.0),
         mcs_per_run: mcs,
         dynamics: Dynamics::Gibbs,

@@ -3,14 +3,14 @@
 //! In the hot regime the knapsack encoding's weakly-coupled slack bits
 //! never saturate, so every sweep pays per-update decision work there; the
 //! three-tier bracket kernel attacks exactly that cost. This bench pins
-//! the serial bracket kernel against the retained exact-tanh oracle and
-//! the width-8 batched engine at β ∈ {2, 4, 8} on the n = 213 QKP-density
-//! row — the same rows `BENCH_sweep.json`'s `hot` section records.
+//! the bracket kernel against the retained exact-tanh oracle at
+//! β ∈ {2, 4, 8} on the n = 213 QKP-density row — the hot rows
+//! `BENCH_sweep.json`'s `hot` section records.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use saim_core::{penalty_qubo, ConstrainedProblem};
 use saim_knapsack::generate;
-use saim_machine::{derive_seed, new_rng, NoiseSource, PbitMachine, ReplicaBatch};
+use saim_machine::{new_rng, NoiseSource, PbitMachine};
 
 fn qkp_model(n: usize, density: f64) -> saim_ising::IsingModel {
     let inst = generate::qkp(n, density, 7).expect("valid parameters");
@@ -58,29 +58,5 @@ fn bench_serial_exact_oracle(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_batch_hot(c: &mut Criterion) {
-    let mut group = c.benchmark_group("hot_sweep_batch_r8");
-    let model = qkp_model(200, 0.5);
-    let width = 8usize;
-    group.throughput(Throughput::Elements((model.len() * width) as u64));
-    for beta in [2.0f64, 4.0, 8.0] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("beta{beta}")),
-            &model,
-            |b, model| {
-                let seeds: Vec<u64> = (0..width as u64).map(|r| derive_seed(1, r)).collect();
-                let mut batch = ReplicaBatch::new(model, &seeds);
-                b.iter(|| batch.sweep_uniform(model, beta));
-            },
-        );
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_serial_bracket,
-    bench_serial_exact_oracle,
-    bench_batch_hot
-);
+criterion_group!(benches, bench_serial_bracket, bench_serial_exact_oracle);
 criterion_main!(benches);

@@ -5,18 +5,17 @@
 //!
 //! 1. single-thread Gibbs-sweep throughput (spin-updates/s) on dense QKP
 //!    models (the n = 200 row is the acceptance gate),
-//! 2. batched structure-of-arrays sweep throughput vs batch width R on the
-//!    n = 213 dense row — aggregate Mupd/s of one `ReplicaBatch` against R
-//!    independent serial machines (the coupling-row amortization payoff),
-//! 3. hot-regime (β ≤ 8) sweep throughput of the three-tier bracket kernel
-//!    against the retained exact-tanh oracle, serial and width-8 batched —
-//!    the PR 5 target is ≥ 2× serial on the n = 213 rows (see
-//!    `HotPoint::speedup_vs_exact` for what the snapshot host records),
-//! 4. ensemble wall-clock vs replica count on all cores — the parallel
+//! 2. held-β sweep throughput of the p-bit machine against the retained
+//!    exact-tanh oracle on the n = 213 row: the hot regime (β ≤ 8), where
+//!    the three-tier bracket kernel does the work (its target is ≥ 2×;
+//!    see `HotPoint::speedup_vs_exact` for what the snapshot host
+//!    records), and a β = 50 deep quench, where the settled list skips the
+//!    settled spins,
+//! 3. ensemble wall-clock vs replica count on all cores — the parallel
 //!    efficiency of the replica engine (1.0 = perfect linear scaling),
-//! 5. parallel-tempering wall-clock on an 8-temperature ladder, all cores
+//! 4. parallel-tempering wall-clock on an 8-temperature ladder, all cores
 //!    vs pinned to one thread — the round-parallel PT engine's speedup, and
-//! 6. job-service throughput (jobs/s) on a fixed mixed-instance workload —
+//! 5. job-service throughput (jobs/s) on a fixed mixed-instance workload —
 //!    ensemble, PT and descent jobs over several model sizes — as the
 //!    worker count grows: the multi-instance scheduler's scaling.
 //!
@@ -36,8 +35,8 @@ use saim_core::{penalty_qubo, ConstrainedProblem};
 use saim_knapsack::generate;
 use saim_machine::service::{solver_service, ServiceConfig};
 use saim_machine::{
-    derive_seed, new_rng, parallel, BetaSchedule, Dynamics, EnsembleAnnealer, EnsembleConfig,
-    IsingSolver, NoiseSource, ParallelTempering, PbitMachine, PtConfig, ReplicaBatch,
+    new_rng, parallel, BetaSchedule, Dynamics, EnsembleAnnealer, EnsembleConfig, IsingSolver,
+    NoiseSource, ParallelTempering, PbitMachine, PtConfig,
 };
 use serde::Serialize;
 use std::time::Instant;
@@ -56,63 +55,29 @@ struct SweepPoint {
 }
 
 #[derive(Debug, Serialize)]
-struct BatchPoint {
-    n: usize,
-    density: f64,
-    /// Inverse temperature of the comparison (see [`BATCH_BETA`]).
-    beta: f64,
-    /// Replica lanes per structure-of-arrays batch.
-    width: usize,
-    sweeps_timed: usize,
-    /// Aggregate spin updates per second of the batched engine
-    /// (`n × width` updates per sweep), single thread.
-    updates_per_sec: f64,
-    /// Aggregate updates/s of `width` independent serial machines swept
-    /// back-to-back on the same streams, single thread.
-    serial_updates_per_sec: f64,
-    /// batched / serial aggregate throughput. PR 3's gate wanted ≥ 1.5 at
-    /// width 8 against the pre-scan serial engine; since the settled scan
-    /// (PR 5) the *serial* comparator skips settled spins as cheaply as
-    /// the batch filter does, so this ratio now reads below 1 on rows
-    /// whose flips are uncorrelated across lanes — the batch's remaining
-    /// edge is correlated-flip amortization, not filtering (see the
-    /// ROADMAP's PR 5 perf finding).
-    speedup_vs_serial: f64,
-    /// Percent change of `updates_per_sec` vs the previous snapshot's row
-    /// with the same `width`.
-    delta_pct: Option<f64>,
-}
-
-#[derive(Debug, Serialize)]
 struct HotPoint {
     n: usize,
     density: f64,
-    /// Inverse temperature of the row — the hot regime is β ≤ 8, where the
-    /// weakly-coupled slack bits of the knapsack encoding never saturate
-    /// and the pre-bracket kernel paid an exact tanh per update.
+    /// Inverse temperature of the row, held for the whole measurement. The
+    /// hot regime is β ≤ 8, where the weakly-coupled slack bits of the
+    /// knapsack encoding never saturate and the pre-bracket kernel paid an
+    /// exact tanh per update; at β = 50 the model is quenched and the
+    /// machine's settled list skips the settled spins.
     beta: f64,
     sweeps_timed: usize,
-    /// Serial three-tier bracket-kernel throughput (spin updates/s).
+    /// p-bit machine throughput (spin updates/s): the three-tier bracket
+    /// kernel, plus the settled list once it engages.
     updates_per_sec: f64,
     /// The retained exact-tanh oracle kernel on an identical machine and
     /// stream — the pre-PR baseline, measured on this host.
     exact_updates_per_sec: f64,
-    /// bracket / exact serial throughput. The PR 5 target was ≥ 2× on the
-    /// β ≤ 8, n = 213 rows; the snapshot host records it on the β = 5 and
-    /// β = 8 rows, with the flip-propagation-heavy β = 2 row within noise
-    /// of it (~1.9× — propagation cost is shared with the baseline and
-    /// bounds the ratio there).
+    /// machine / exact throughput. The bracket kernel's target is ≥ 2× on
+    /// the β ≤ 8, n = 213 rows; the snapshot host records it on the β = 5
+    /// and β = 8 rows, with the flip-propagation-heavy β = 2 row within
+    /// noise of it (~1.9× — propagation cost is shared with the baseline
+    /// and bounds the ratio there). At β = 50 it measures the settled
+    /// list, which the oracle lacks.
     speedup_vs_exact: f64,
-    /// Lanes of the batched comparison row.
-    batch_width: usize,
-    /// Aggregate updates/s of one width-`batch_width` batch at this β.
-    batch_updates_per_sec: f64,
-    /// Batched aggregate throughput over the exact serial baseline (both
-    /// are single-thread aggregate rates). In the hot regime the batch is
-    /// propagation-bound — uncorrelated per-lane flips each touch the full
-    /// n × W field plane — so this stays well below the serial bracket
-    /// speedup; at deep quench it reflects the row-amortization payoff.
-    batch_speedup_vs_exact: f64,
     /// Percent change of `updates_per_sec` vs the previous snapshot's row
     /// with the same `beta` (absent before schema 5).
     delta_pct: Option<f64>,
@@ -171,7 +136,9 @@ struct ServicePoint {
 
 #[derive(Debug, Serialize)]
 struct Snapshot {
-    /// Snapshot schema version. Changelog: v5 adds the `hot` section
+    /// Snapshot schema version. Changelog: v6 drops the `batch` section and
+    /// the `hot` rows' `batch_*` fields (the batched sweep engine is gone)
+    /// and adds a β = 50 held-quench `hot` row; v5 added the `hot` section
     /// (hot-regime bracket-kernel throughput vs the exact-tanh oracle) and
     /// the self-recording trajectory fields (`previous_rev` + per-row
     /// `delta_pct` vs the prior snapshot at the output path); v4 added the
@@ -189,7 +156,6 @@ struct Snapshot {
     /// Seconds since the unix epoch at snapshot time.
     unix_timestamp: u64,
     sweep: Vec<SweepPoint>,
-    batch: Vec<BatchPoint>,
     hot: Vec<HotPoint>,
     ensemble: Vec<EnsemblePoint>,
     pt: Vec<PtPoint>,
@@ -253,92 +219,15 @@ fn time_sweeps(n: usize, density: f64) -> SweepPoint {
     }
 }
 
-/// β of the batched-sweep comparison: a deep-quench cold sweep, where
-/// almost every lane is saturated and the sweep cost is coupling-row and
-/// field-plane traffic — the cost the structure-of-arrays batch amortizes
-/// across lanes (at full saturation the batch fast path is ~10× a serial
-/// machine on this row). In the hot regime (β ≲ 8 on this model) both
-/// engines are instead bound by the identical per-lane tanh + noise work
-/// of unsaturated lanes — the low-order slack bits of the knapsack
-/// encoding carry couplings too weak to ever saturate, so they coin-flip
-/// at any β — and batching is neutral there (the `sweep` section at β = 5
-/// tracks that regime).
-const BATCH_BETA: f64 = 50.0;
-
-/// Batched vs serial aggregate sweep throughput at one batch width, single
-/// thread, on warmed books, at [`BATCH_BETA`].
-fn time_batch(n: usize, density: f64, width: usize) -> BatchPoint {
-    let model = qkp_model(n, density);
-    let seeds: Vec<u64> = (0..width as u64).map(|r| derive_seed(1, r)).collect();
-    let sweeps = (8_000_000_usize / (model.len().max(1) * width)).clamp(200, 50_000);
-
-    // best of seven timed repetitions per engine, batch and serial
-    // interleaved round by round: the snapshot machine is a shared VM, the
-    // minimum is the standard noise-robust estimator, and interleaving
-    // keeps a slow host phase from skewing the recorded ratio by landing
-    // entirely on one engine's block
-    let mut batch = ReplicaBatch::new(&model, &seeds);
-    for _ in 0..200 {
-        batch.sweep_uniform(&model, BATCH_BETA);
-    }
-    let mut machines: Vec<(PbitMachine, NoiseSource)> = seeds
-        .iter()
-        .map(|&seed| {
-            let mut rng = new_rng(seed);
-            let machine = PbitMachine::new(&model, &mut rng);
-            (machine, NoiseSource::new(rng))
-        })
-        .collect();
-    for _ in 0..200 {
-        for (machine, noise) in &mut machines {
-            machine.sweep_buffered(&model, BATCH_BETA, noise);
-        }
-    }
-
-    let mut batch_secs = f64::INFINITY;
-    let mut serial_secs = f64::INFINITY;
-    for _ in 0..7 {
-        let start = Instant::now();
-        for _ in 0..sweeps {
-            batch.sweep_uniform(&model, BATCH_BETA);
-        }
-        batch_secs = batch_secs.min(start.elapsed().as_secs_f64());
-
-        let start = Instant::now();
-        for _ in 0..sweeps {
-            for (machine, noise) in &mut machines {
-                machine.sweep_buffered(&model, BATCH_BETA, noise);
-            }
-        }
-        serial_secs = serial_secs.min(start.elapsed().as_secs_f64());
-    }
-
-    let aggregate = (sweeps * model.len() * width) as f64;
-    let updates_per_sec = aggregate / batch_secs;
-    let serial_updates_per_sec = aggregate / serial_secs;
-    BatchPoint {
-        n: model.len(),
-        density,
-        beta: BATCH_BETA,
-        width,
-        sweeps_timed: sweeps,
-        updates_per_sec,
-        serial_updates_per_sec,
-        speedup_vs_serial: updates_per_sec / serial_updates_per_sec.max(1e-12),
-        delta_pct: None,
-    }
-}
-
-/// Hot-regime row: the three-tier bracket kernel against the exact-tanh
-/// oracle on identical machines and streams, serial and width-8 batched,
-/// single thread, warmed books, block-buffered noise (the annealers'
-/// production draw path). Below the saturation regime the two kernels draw
-/// the same noise and make the same decisions (the oracle replay proptests
-/// pin that); only the cost per decision differs. Bracket and oracle
-/// repetitions are interleaved so slow phases of a shared host hit both
-/// kernels alike and the recorded ratio stays fair.
+/// Held-β row: the p-bit machine against the exact-tanh oracle on
+/// identical machines and streams, single thread, warmed books,
+/// block-buffered noise (the annealers' production draw path). The two
+/// kernels draw the same noise and make the same decisions (the oracle
+/// replay proptests pin that); only the cost per decision differs — and,
+/// once the held β quenches the model, how many spins the machine visits.
+/// Machine and oracle repetitions are interleaved so slow phases of a
+/// shared host hit both kernels alike and the recorded ratio stays fair.
 fn time_hot(n: usize, density: f64, beta: f64) -> HotPoint {
-    const WIDTH: usize = 8;
     let model = qkp_model(n, density);
     let sweeps = (2_000_000_usize / model.len().max(1)).clamp(200, 50_000);
 
@@ -367,26 +256,9 @@ fn time_hot(n: usize, density: f64, beta: f64) -> HotPoint {
         exact_secs = exact_secs.min(start.elapsed().as_secs_f64());
     }
 
-    // width-8 batch, bracket kernel
-    let seeds: Vec<u64> = (0..WIDTH as u64).map(|r| derive_seed(1, r)).collect();
-    let mut batch = ReplicaBatch::new(&model, &seeds);
-    let batch_sweeps = (sweeps / WIDTH).max(100);
-    for _ in 0..50 {
-        batch.sweep_uniform(&model, beta);
-    }
-    let mut batch_secs = f64::INFINITY;
-    for _ in 0..5 {
-        let start = Instant::now();
-        for _ in 0..batch_sweeps {
-            batch.sweep_uniform(&model, beta);
-        }
-        batch_secs = batch_secs.min(start.elapsed().as_secs_f64());
-    }
-
     let updates = (sweeps * model.len()) as f64;
     let updates_per_sec = updates / bracket_secs;
     let exact_updates_per_sec = updates / exact_secs;
-    let batch_updates_per_sec = (batch_sweeps * model.len() * WIDTH) as f64 / batch_secs;
     HotPoint {
         n: model.len(),
         density,
@@ -395,9 +267,6 @@ fn time_hot(n: usize, density: f64, beta: f64) -> HotPoint {
         updates_per_sec,
         exact_updates_per_sec,
         speedup_vs_exact: updates_per_sec / exact_updates_per_sec.max(1e-12),
-        batch_width: WIDTH,
-        batch_updates_per_sec,
-        batch_speedup_vs_exact: batch_updates_per_sec / exact_updates_per_sec.max(1e-12),
         delta_pct: None,
     }
 }
@@ -407,7 +276,6 @@ fn time_ensemble(replicas: usize) -> EnsemblePoint {
     let config = |threads: usize| EnsembleConfig {
         replicas,
         threads,
-        batch_width: 0,
         schedule: BetaSchedule::linear(10.0),
         mcs_per_run: 200,
         dynamics: Dynamics::Gibbs,
@@ -512,9 +380,7 @@ fn main() {
 
     let prev = PrevSnapshot::load(&out_path);
     let previous_rev = prev.as_ref().and_then(PrevSnapshot::rev);
-    println!(
-        "perf snapshot: sweep throughput + batch scaling + hot-regime kernel + ensemble/PT/service scaling\n"
-    );
+    println!("perf snapshot: sweep throughput + held-beta kernel + ensemble/PT/service scaling\n");
     if let Some(rev) = &previous_rev {
         println!("deltas vs previous snapshot (rev {rev})\n");
     }
@@ -544,34 +410,7 @@ fn main() {
         .collect();
 
     println!();
-    let batch: Vec<BatchPoint> = [1usize, 2, 4, 8, 16]
-        .into_iter()
-        .map(|width| {
-            let mut p = time_batch(200, 0.5, width);
-            p.delta_pct = prev.as_ref().and_then(|prev| {
-                prev.delta_pct(
-                    "batch",
-                    "width",
-                    p.width as f64,
-                    "updates_per_sec",
-                    p.updates_per_sec,
-                )
-            });
-            println!(
-                "batch  n={:4} R={:2}: {:7.2} Mupd/s batched, {:7.2} Mupd/s serial, {:.2}x{}",
-                p.n,
-                p.width,
-                p.updates_per_sec / 1e6,
-                p.serial_updates_per_sec / 1e6,
-                p.speedup_vs_serial,
-                fmt_delta(p.delta_pct)
-            );
-            p
-        })
-        .collect();
-
-    println!();
-    let hot: Vec<HotPoint> = [2.0f64, 5.0, 8.0]
+    let hot: Vec<HotPoint> = [2.0f64, 5.0, 8.0, 50.0]
         .into_iter()
         .map(|beta| {
             let mut p = time_hot(200, 0.5, beta);
@@ -579,16 +418,12 @@ fn main() {
                 prev.delta_pct("hot", "beta", p.beta, "updates_per_sec", p.updates_per_sec)
             });
             println!(
-                "hot    n={:4} beta={:4.1}: {:7.2} Mupd/s bracket vs {:7.2} exact ({:.2}x), \
-                 batch R={} {:7.2} Mupd/s ({:.2}x){}",
+                "hot    n={:4} beta={:4.1}: {:7.2} Mupd/s machine vs {:7.2} exact ({:.2}x){}",
                 p.n,
                 p.beta,
                 p.updates_per_sec / 1e6,
                 p.exact_updates_per_sec / 1e6,
                 p.speedup_vs_exact,
-                p.batch_width,
-                p.batch_updates_per_sec / 1e6,
-                p.batch_speedup_vs_exact,
                 fmt_delta(p.delta_pct)
             );
             p
@@ -676,13 +511,12 @@ fn main() {
     }
 
     let snapshot = Snapshot {
-        schema: 5,
+        schema: 6,
         cores: parallel::available_threads(),
         git_rev: git_rev(),
         previous_rev,
         unix_timestamp: unix_timestamp(),
         sweep,
-        batch,
         hot,
         ensemble,
         pt,

@@ -83,7 +83,6 @@ pub fn service_mix(
         SolverSpec::Ensemble(saim_machine::EnsembleConfig {
             replicas,
             threads: 1,
-            batch_width: 0,
             schedule: saim_machine::BetaSchedule::linear(10.0),
             mcs_per_run: sweeps,
             dynamics: saim_machine::Dynamics::Gibbs,

@@ -6,7 +6,9 @@
 //! committed `BENCH_sweep.json` — so [`PrevSnapshot`] parses it as a raw
 //! JSON tree instead of the current typed [`Snapshot`] shape: every row
 //! lookup degrades independently. A section the old schema lacks (e.g.
-//! `hot` before schema 5) yields `None` for its rows only; every section
+//! `hot` before schema 5) yields `None` for its rows only, and a section
+//! the new schema dropped (`batch` since schema 6) is never asked for;
+//! every section
 //! both snapshots share backfills its deltas immediately, and the first
 //! re-run after a schema bump records a fully-populated trajectory for the
 //! shared rows rather than waiting a generation of `null`s.
@@ -18,7 +20,7 @@ use serde::Value;
 /// A previous perf snapshot, schema-agnostic.
 ///
 /// Rows are addressed `(section, key_field, key, value_field)` — e.g. the
-/// batch width-8 throughput is `("batch", "width", 8.0, "updates_per_sec")`
+/// β = 5 hot-row throughput is `("hot", "beta", 5.0, "updates_per_sec")`
 /// — and every lookup returns `Option` so callers inherit cross-schema
 /// robustness for free.
 pub struct PrevSnapshot {
@@ -149,8 +151,7 @@ mod tests {
             {"n": 213, "density": 0.5, "beta": 5.0, "width": 8,
              "sweeps_timed": 9389, "updates_per_sec": 500000000.0,
              "exact_updates_per_sec": 250000000.0, "speedup_vs_exact": 2.0,
-             "batch_width": 8, "batch_updates_per_sec": 318000000.0,
-             "batch_speedup_vs_exact": 1.27, "delta_pct": null}
+             "delta_pct": null}
         ]
     }"#;
 

@@ -69,7 +69,6 @@ impl ExperimentPreset {
         EnsembleConfig {
             replicas,
             threads: 0,
-            batch_width: 0,
             schedule: BetaSchedule::linear(self.beta_max),
             mcs_per_run: self.mcs_per_run,
             dynamics: Dynamics::Gibbs,

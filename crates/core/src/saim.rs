@@ -527,7 +527,6 @@ mod tests {
         let solver = SolverSpec::Ensemble(EnsembleConfig {
             replicas: 3,
             threads: 1,
-            batch_width: 0,
             schedule: saim_machine::BetaSchedule::linear(8.0),
             mcs_per_run: 60,
             dynamics: saim_machine::Dynamics::Gibbs,

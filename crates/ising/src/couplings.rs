@@ -105,43 +105,6 @@ impl Couplings {
         }
     }
 
-    /// Suffix axpy over row `i`: `fields[j] += M_ij * delta` for every
-    /// column `j ≥ i` (dense) or stored neighbour `j ≥ i` (sparse), where
-    /// `fields` is one replica lane's contiguous length-`n` field vector.
-    ///
-    /// The immediate half of the batched sweep's split flip propagation:
-    /// the scan still reads fields at `j ≥ i` this sweep, so they update at
-    /// flip time; the `j < i` half defers to the end-of-sweep coalesced
-    /// pass ([`Couplings::row_axpy_prefix`]). See
-    /// [`SymmetricMatrix::row_axpy_suffix`] and
-    /// [`CsrMatrix::row_axpy_suffix`] for the bit-exactness argument.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fields.len() != self.len()` or `i` is out of bounds.
-    pub fn row_axpy_suffix(&self, i: usize, delta: f64, fields: &mut [f64]) {
-        match self {
-            Couplings::Dense(m) => m.row_axpy_suffix(i, delta, fields),
-            Couplings::Sparse(m) => m.row_axpy_suffix(i, delta, fields),
-        }
-    }
-
-    /// Prefix axpy over row `i`: `fields[j] += M_ij * delta` for every
-    /// column `j < i` (dense) or stored neighbour `j < i` (sparse) — the
-    /// deferred half of the split flip propagation
-    /// ([`Couplings::row_axpy_suffix`]), applied by the batched sweep's
-    /// end-of-sweep pass with the row cache-hot across lanes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fields.len() != self.len()` or `i` is out of bounds.
-    pub fn row_axpy_prefix(&self, i: usize, delta: f64, fields: &mut [f64]) {
-        match self {
-            Couplings::Dense(m) => m.row_axpy_prefix(i, delta, fields),
-            Couplings::Sparse(m) => m.row_axpy_prefix(i, delta, fields),
-        }
-    }
-
     /// `Σ_j |M_ij|` of row `i` — the tightest bound on `|Σ_j M_ij s_j|` over
     /// all ±1 spin vectors, used to build per-spin drive bounds
     /// ([`IsingModel::drive_bounds`](crate::IsingModel::drive_bounds)).
@@ -157,9 +120,9 @@ impl Couplings {
     }
 
     /// Largest `|M_ij|` over row `i` — a bound on how much one ±2 spin
-    /// flip of `i` can move any other spin's local field, used by the
-    /// batched sweep's settled-set slack budget
-    /// ([`ReplicaBatch`](../../saim_machine/struct.ReplicaBatch.html)).
+    /// flip of `i` can move any other spin's local field, used by the p-bit
+    /// machine's settled-set slack budget
+    /// ([`PbitMachine`](../../saim_machine/struct.PbitMachine.html)).
     ///
     /// # Panics
     ///

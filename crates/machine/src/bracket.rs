@@ -58,7 +58,7 @@
 //!
 //! The noise draw is consumed *before* the bracket test, so the RNG stream
 //! advances exactly as in the exact kernel and trajectories replay
-//! bit-for-bit for every seed, batch width and thread count.
+//! bit-for-bit for every seed, schedule and thread count.
 
 /// Split point below which the divide-free Maclaurin bracket is used: for
 /// `|x| ≤ SERIES_CUT` the alternating series terms decrease strictly (the

@@ -18,8 +18,8 @@
 //!    `(key, block counter, intra-block word position)` — [`RngState`]
 //!    stores all three, and the keystream block itself is regenerated on
 //!    restore ([`rand_chacha::ChaCha8Rng::from_state_words`]). Every stream
-//!    an engine owns is captured: per-lane noise streams, the greedy
-//!    restart stream, parallel tempering's swap stream.
+//!    an engine owns is captured: per-replica and per-slot noise streams,
+//!    the greedy restart stream, parallel tempering's swap stream.
 //! 2. **Buffered-but-unconsumed noise words.** The sweep hot path draws
 //!    noise through a block buffer ([`crate::NoiseSource`]) that straddles
 //!    sweep boundaries; [`NoiseState`] carries the full buffer plus the
@@ -60,8 +60,8 @@
 //! unkillable. Stop requests take effect at deterministic trajectory
 //! boundaries, so a checkpointed run resumes on exactly the sweep it left.
 
-use crate::pbit::MachineSnapshot;
-use crate::rng::{NoiseSnapshot, NOISE_SNAPSHOT_WORDS};
+use crate::pbit::{MachineSnapshot, PbitMachine};
+use crate::rng::{NoiseSnapshot, NoiseSource, NOISE_SNAPSHOT_WORDS};
 use crate::service::JobSpec;
 use crate::solver::SolveOutcome;
 use rand_chacha::ChaCha8Rng;
@@ -524,22 +524,22 @@ pub struct DescentState {
     pub rng: RngState,
 }
 
-/// One [`crate::ReplicaBatch`] lane: machine books plus the lane's noise
-/// stream. Lane trajectories are batch-width-invariant, so images captured
-/// at one grouping can be resumed under any other.
+/// One machine plus the noise stream that drives it: a
+/// [`crate::ParallelTempering`] ladder slot, or one replica of a legacy
+/// multi-lane ensemble group ([`GroupState::Batch`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LaneState {
-    /// The lane's machine image.
+    /// The machine image.
     pub machine: MachineState,
-    /// The lane's noise stream, buffer included.
+    /// The noise stream, buffer included.
     pub noise: NoiseState,
 }
 
 impl LaneState {
-    pub(crate) fn capture(snap: &(MachineSnapshot, NoiseSnapshot)) -> Self {
+    pub(crate) fn capture(machine: &PbitMachine, noise: &NoiseSource) -> Self {
         LaneState {
-            machine: MachineState::capture(&snap.0),
-            noise: NoiseState::capture(&snap.1),
+            machine: MachineState::capture(&machine.snapshot()),
+            noise: NoiseState::capture(&noise.snapshot()),
         }
     }
 
@@ -585,10 +585,11 @@ impl DoneLane {
     }
 }
 
-/// One ensemble replica group at interrupt time. Groups preserve their
-/// interrupt-time membership: each variant carries the replica seeds it was
-/// built from, so a resume regenerates the exact same lane streams no
-/// matter how many workers it runs on.
+/// One ensemble replica group at interrupt time, in replica order. Each
+/// variant carries the replica seeds it was built from, so a resume
+/// regenerates the exact same streams no matter how many workers it runs
+/// on. Current runs record one group per replica; states written when
+/// replicas ran in multi-lane groups hold several, and still resume.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum GroupState {
     /// The group had not started when the run stopped.
@@ -596,14 +597,16 @@ pub enum GroupState {
         /// The replica seeds the group will run.
         seeds: Vec<u64>,
     },
-    /// A single-replica group running through the serial annealer.
+    /// A replica running through the serial annealer.
     Serial {
         /// The replica's seed.
         seed: u64,
         /// The annealer image at the boundary.
         sa: SaState,
     },
-    /// A multi-lane group running through the replica batch.
+    /// A multi-lane group, as written when replicas ran in lock-step
+    /// groups. Restore-only: each lane plus its best and `next_step` is a
+    /// serial annealer image, and resumes as one ([`GroupState::Serial`]).
     Batch {
         /// The replica seeds, one per lane.
         seeds: Vec<u64>,
@@ -634,10 +637,8 @@ pub struct EnsembleState {
 /// A mid-run [`crate::ParallelTempering`] image, captured at a swap-round
 /// boundary (swaps for the recorded rounds already applied).
 ///
-/// Slots are stored flat — not grouped — because group width depends on the
-/// worker count and lane trajectories are batch-width-invariant: a resume
-/// regroups the same slots under its own worker count and replays
-/// identically.
+/// Slots are stored flat, in ladder order: a resume sweeps the same slots
+/// under its own worker count and replays identically.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PtState {
     /// Which solve-call batch this was (stream seeds derive from it).
@@ -645,7 +646,8 @@ pub struct PtState {
     /// The next swap round to execute (absolute index — swap-pair parity
     /// derives from it).
     pub next_round: u64,
-    /// Per-slot machine + noise images, hottest to coldest.
+    /// Per-slot machine + noise images, hottest to coldest (the machine
+    /// currently sampling at each slot's β).
     pub lanes: Vec<LaneState>,
     /// Per-slot best-so-far records.
     pub bests: Vec<BestState>,

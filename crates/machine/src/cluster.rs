@@ -255,15 +255,20 @@ impl BackendLink for TcpLink {
         self.client
             .set_read_timeout(timeout.max(Duration::from_millis(1)))
             .map_err(|e| LinkError(e.to_string()))?;
-        match self.client.recv() {
-            Ok(response) => Ok(Some(response)),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                Ok(None)
-            }
-            Err(e) => Err(LinkError(e.to_string())),
+        loop {
+            return match self.client.recv() {
+                Ok(response) => Ok(Some(response)),
+                // a stop/continue of the router interrupts the timed read;
+                // that is no transport failure for the breaker to count
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e)
+                    if e.kind() == std::io::ErrorKind::WouldBlock
+                        || e.kind() == std::io::ErrorKind::TimedOut =>
+                {
+                    Ok(None)
+                }
+                Err(e) => Err(LinkError(e.to_string())),
+            };
         }
     }
 }

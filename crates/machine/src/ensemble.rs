@@ -1,20 +1,17 @@
-//! Replica-ensemble annealing: R independent annealed runs across threads,
-//! batched into structure-of-arrays lane groups per worker.
+//! Replica-ensemble annealing: R independent annealed runs across threads.
 //!
 //! The paper's experimental unit is "many independent annealed runs" — e.g.
 //! 2000 SA runs of 10³ MCS per instance (Table I). Runs are embarrassingly
 //! parallel, but naively sharing one RNG across threads would make results
 //! depend on scheduling. The [`EnsembleAnnealer`] instead derives one
 //! SplitMix64 stream per replica from a root seed
-//! ([`derive_seed`](crate::derive_seed)), groups the replicas assigned to
-//! each worker into a [`ReplicaBatch`] — advancing the whole group through
-//! each sweep together so one coupling-row pass serves every lane — and
-//! reduces with an **ordered** best-of-ensemble rule (lowest best energy,
-//! ties broken by lowest replica index). Lane trajectories are
-//! batch-width-invariant and each replays a serial
-//! [`SimulatedAnnealing`](crate::SimulatedAnnealing) of its derived seed, so
-//! the outcome is bit-identical for 1, 2 or N threads and for any
-//! [`EnsembleConfig::batch_width`] — asserted by `tests/determinism.rs`.
+//! ([`derive_seed`](crate::derive_seed)), runs each replica as its own
+//! [`SimulatedAnnealing`] on that seed — an ordered parallel map over
+//! [`parallel::parallel_map_indexed`] — and reduces with an **ordered**
+//! best-of-ensemble rule (lowest best energy, ties broken by lowest replica
+//! index). Every replica is bit-identical to a serial
+//! [`SimulatedAnnealing`] of its derived seed, so the outcome is
+//! bit-identical for 1, 2 or N threads — asserted by `tests/determinism.rs`.
 //!
 //! ```
 //! use saim_ising::QuboBuilder;
@@ -38,14 +35,13 @@
 //! # }
 //! ```
 
-use crate::batch::{LaneBests, ReplicaBatch};
 use crate::checkpoint::{
-    BestState, CheckpointError, Controlled, DoneLane, EnsembleState, GroupState, LaneState,
-    OutcomeKind, RunController, SaState,
+    CheckpointError, Controlled, DoneLane, EnsembleState, GroupState, OutcomeKind, RunController,
+    SaState,
 };
 use crate::parallel;
 use crate::rng::derive_seed;
-use crate::sa::Dynamics;
+use crate::sa::{Dynamics, SimulatedAnnealing};
 use crate::schedule::BetaSchedule;
 use crate::solver::{IsingSolver, SolveOutcome};
 use saim_ising::{IsingModel, SpinState};
@@ -59,15 +55,6 @@ pub struct EnsembleConfig {
     /// Worker threads; `0` means all available cores. The thread count
     /// affects wall-clock only, never results.
     pub threads: usize,
-    /// Replica lanes advanced together per structure-of-arrays batch
-    /// ([`ReplicaBatch`]). `0` (the default) adapts the width to the worker
-    /// pool — as wide as possible without starving workers of groups,
-    /// capped at [`EnsembleConfig::DEFAULT_BATCH_WIDTH`]; a nonzero value
-    /// is used as-is. Wider batches amortize each coupling-row load over
-    /// more replicas. The batch width affects wall-clock only, never
-    /// results — lane trajectories are batch-width-invariant by the
-    /// [`ReplicaBatch`] contract.
-    pub batch_width: usize,
     /// The annealing schedule every replica follows.
     pub schedule: BetaSchedule,
     /// Monte Carlo sweeps per replica run.
@@ -83,7 +70,6 @@ impl Default for EnsembleConfig {
         EnsembleConfig {
             replicas: 8,
             threads: 0,
-            batch_width: 0,
             schedule: BetaSchedule::default(),
             mcs_per_run: 1000,
             dynamics: Dynamics::Gibbs,
@@ -92,12 +78,6 @@ impl Default for EnsembleConfig {
 }
 
 impl EnsembleConfig {
-    /// Cap on the adaptive lane count when [`EnsembleConfig::batch_width`]
-    /// is `0`: up to eight replicas share each coupling-row pass, and eight
-    /// f64 lanes fill one AVX-512 register (two AVX2 registers) while
-    /// keeping the spin/field planes cache-resident.
-    pub const DEFAULT_BATCH_WIDTH: usize = 8;
-
     fn validate(&self) {
         assert!(self.replicas > 0, "an ensemble needs at least one replica");
         assert!(self.mcs_per_run > 0, "a run needs at least one sweep");
@@ -197,35 +177,18 @@ impl EnsembleAnnealer {
     /// Runs `count` independent annealed runs of `model` in parallel and
     /// returns their outcomes **in run order** (thread-count invariant).
     ///
-    /// Runs are grouped into [`ReplicaBatch`]es: each worker advances its
-    /// whole group through every sweep together, so one coupling-row pass
-    /// serves the full lane set. With the default
-    /// [`EnsembleConfig::batch_width`] of `0`, the group width adapts
-    /// downward so the fan-out still covers the worker pool (more workers →
-    /// narrower groups), capped at
-    /// [`EnsembleConfig::DEFAULT_BATCH_WIDTH`]; an explicit width is used
-    /// as-is. Each run's trajectory is in every case bit-identical to a
-    /// serial [`SimulatedAnnealing`](crate::SimulatedAnnealing) of the same
-    /// derived seed — the batch-width-invariance contract, asserted by
-    /// `tests/determinism.rs` — so the grouping affects wall-clock only.
-    ///
-    /// This is the run-level engine behind both the ensemble reduction and
-    /// the baselines' "K runs of 10³ MCS" repetition loops.
+    /// Run `i` is a fresh [`SimulatedAnnealing`] on the derived seed
+    /// [`EnsembleAnnealer::replica_seed`]`(batch, i)`, so the worker pool
+    /// affects wall-clock only. This is the run-level engine behind both
+    /// the ensemble reduction and the baselines' "K runs of 10³ MCS"
+    /// repetition loops.
     pub fn solve_runs(&mut self, model: &IsingModel, count: usize) -> Vec<SolveOutcome> {
         let batch = self.batches;
         self.batches += 1;
-        let config = self.config;
-        let width = self.group_width(count);
-        let groups = count.div_ceil(width.max(1));
-        let grouped = parallel::parallel_map_indexed(groups, config.threads, |g| {
-            let lo = g * width;
-            let hi = count.min(lo + width);
-            let seeds: Vec<u64> = (lo..hi)
-                .map(|i| self.replica_seed(batch, i as u64))
-                .collect();
-            run_batched(model, &config, &seeds)
-        });
-        grouped.into_iter().flatten().collect()
+        parallel::parallel_map_indexed(count, self.config.threads, |i| {
+            self.annealer(self.replica_seed(batch, i as u64))
+                .solve(model)
+        })
     }
 
     /// Runs the configured ensemble once with full per-replica telemetry.
@@ -259,31 +222,21 @@ impl EnsembleAnnealer {
         }
     }
 
-    /// The lane-group width `solve_runs` uses for `count` replicas.
-    fn group_width(&self, count: usize) -> usize {
-        if self.config.batch_width == 0 {
-            let workers = if self.config.threads == 0 {
-                parallel::available_threads()
-            } else {
-                self.config.threads
-            };
-            count
-                .div_ceil(workers.max(1))
-                .clamp(1, EnsembleConfig::DEFAULT_BATCH_WIDTH)
-        } else {
-            self.config.batch_width
-        }
+    /// The serial annealer replica `seed` runs on.
+    fn annealer(&self, seed: u64) -> SimulatedAnnealing {
+        SimulatedAnnealing::new(self.config.schedule, self.config.mcs_per_run, seed)
+            .with_dynamics(self.config.dynamics)
     }
 
-    /// Like [`IsingSolver::solve`], but polling `ctrl` from every lane
-    /// group. With an idle controller the reduced outcome is bit-identical
-    /// to `solve`.
+    /// Like [`IsingSolver::solve`], but every replica polls `ctrl` at its
+    /// sweep boundaries. With an idle controller the reduced outcome is
+    /// bit-identical to `solve`.
     ///
-    /// Each group polls with its own schedule-step count; lanes are
-    /// independent until the final reduction, so a stop may catch groups at
-    /// different steps — the captured [`EnsembleState`] records each group
-    /// at its own boundary and [`EnsembleAnnealer::resume_controlled`]
-    /// finishes each from exactly there.
+    /// Replicas are independent until the final reduction, so a stop may
+    /// catch them at different steps — the captured [`EnsembleState`]
+    /// records each replica at its own boundary (one group per replica) and
+    /// [`EnsembleAnnealer::resume_controlled`] finishes each from exactly
+    /// there.
     pub fn solve_controlled(
         &mut self,
         model: &IsingModel,
@@ -291,268 +244,143 @@ impl EnsembleAnnealer {
     ) -> Controlled<EnsembleState> {
         let batch = self.batches;
         self.batches += 1;
-        let config = self.config;
-        let count = config.replicas;
-        let width = self.group_width(count);
-        let groups = count.div_ceil(width.max(1));
-        let runs = parallel::parallel_map_indexed(groups, config.threads, |g| {
-            let lo = g * width;
-            let hi = count.min(lo + width);
-            let seeds: Vec<u64> = (lo..hi)
-                .map(|i| self.replica_seed(batch, i as u64))
-                .collect();
-            run_group_fresh(model, &config, &seeds, ctrl)
-        });
-        assemble(model, batch, runs)
+        let replicas: Vec<Replica> = (0..self.config.replicas)
+            .map(|i| Replica::Fresh(self.replica_seed(batch, i as u64)))
+            .collect();
+        self.run_replicas(model, batch, &replicas, ctrl)
+            .expect("a fresh run validates no checkpoint")
     }
 
     /// Continues a checkpointed ensemble from its [`EnsembleState`]; the
     /// completed reduction is bit-identical to an uninterrupted run at any
-    /// worker count (group membership is fixed by the checkpoint, so the
-    /// worker pool only changes which thread finishes which group).
+    /// worker count (every replica resumes on its own recorded stream, so
+    /// the worker pool only changes which thread finishes which replica).
+    ///
+    /// States written when replicas ran in multi-lane groups still resume:
+    /// a [`GroupState::Batch`] lane plus its best and step is exactly a
+    /// serial annealer image, and pending or finished groups split into
+    /// their replicas.
     ///
     /// # Errors
     ///
-    /// [`CheckpointError::Malformed`] when the recorded groups do not add
-    /// up to this ensemble's replica count or any group image fails
-    /// validation.
+    /// [`CheckpointError::Malformed`] when the recorded replicas do not add
+    /// up to this ensemble's replica count or any image fails validation.
     pub fn resume_controlled(
         &mut self,
         model: &IsingModel,
         state: &EnsembleState,
         ctrl: &RunController,
     ) -> Result<Controlled<EnsembleState>, CheckpointError> {
-        let total: usize = state.groups.iter().map(group_len).sum();
-        if total != self.config.replicas {
+        let mut replicas = Vec::with_capacity(self.config.replicas);
+        for group in &state.groups {
+            split_group(group, &mut replicas)?;
+        }
+        if replicas.len() != self.config.replicas {
             return Err(CheckpointError::Malformed(format!(
-                "checkpoint holds {total} replicas for a {}-replica ensemble",
+                "checkpoint holds {} replicas for a {}-replica ensemble",
+                replicas.len(),
                 self.config.replicas
             )));
         }
-        let config = self.config;
-        let runs = parallel::parallel_map_indexed(state.groups.len(), config.threads, |g| {
-            run_group_resumed(model, &config, &state.groups[g], ctrl)
+        self.run_replicas(model, state.batch_index, &replicas, ctrl)
+    }
+
+    /// The ordered parallel map of controlled replica runs, reduced.
+    fn run_replicas(
+        &self,
+        model: &IsingModel,
+        batch: u64,
+        replicas: &[Replica],
+        ctrl: &RunController,
+    ) -> Result<Controlled<EnsembleState>, CheckpointError> {
+        let runs = parallel::parallel_map_indexed(replicas.len(), self.config.threads, |i| {
+            self.run_replica(model, &replicas[i], ctrl)
         });
         let runs = runs.into_iter().collect::<Result<Vec<_>, _>>()?;
-        Ok(assemble(model, state.batch_index, runs))
+        Ok(assemble(model, batch, runs))
     }
-}
 
-/// One batched group of annealed runs: every lane follows the configured
-/// schedule together, one sweep at a time, with per-lane best tracking —
-/// the batched equivalent of `seeds.len()` fresh
-/// [`SimulatedAnnealing`](crate::SimulatedAnnealing) solves.
-///
-/// A single-seed group routes through a serial
-/// [`SimulatedAnnealing`](crate::SimulatedAnnealing) directly: that solver
-/// *is* the documented replay reference for a batch lane on the same seed,
-/// so the outcome is identical by contract while skipping the batch
-/// scaffolding a one-lane group would pay for (the `R = 1` overhead the
-/// perf snapshot's `batch` section records).
-fn run_batched(model: &IsingModel, config: &EnsembleConfig, seeds: &[u64]) -> Vec<SolveOutcome> {
-    if let [seed] = seeds {
-        let mut sa = crate::sa::SimulatedAnnealing::new(config.schedule, config.mcs_per_run, *seed)
-            .with_dynamics(config.dynamics);
-        return vec![sa.solve(model)];
-    }
-    let mut batch = ReplicaBatch::new(model, seeds);
-    let mut bests = LaneBests::new(&batch);
-    for step in 0..config.mcs_per_run {
-        let beta = config.schedule.beta_at(step, config.mcs_per_run);
-        match config.dynamics {
-            Dynamics::Gibbs => batch.sweep_uniform(model, beta),
-            Dynamics::Metropolis => batch.metropolis_sweep_uniform(model, beta),
-        }
-        bests.update(&batch);
-    }
-    let (best_energies, best_states) = bests.into_parts();
-    best_energies
-        .into_iter()
-        .zip(best_states)
-        .enumerate()
-        .map(|(r, (best_energy, best))| SolveOutcome {
-            last: batch.state(r),
-            last_energy: batch.energy(r),
-            best,
-            best_energy,
-            mcs: config.mcs_per_run as u64,
-        })
-        .collect()
-}
-
-/// One group's controlled run: its stop status, its resumable image (when
-/// one exists), and the per-lane outcomes produced so far.
-struct GroupRun {
-    status: OutcomeKind,
-    /// `Some` for completed groups (a [`GroupState::Done`] image) and
-    /// checkpointed ones; `None` when the group stopped without capture
-    /// (cancellation or a missed deadline).
-    state: Option<GroupState>,
-    outcomes: Vec<SolveOutcome>,
-}
-
-/// Replicas a recorded group accounts for.
-fn group_len(group: &GroupState) -> usize {
-    match group {
-        GroupState::Pending { seeds } => seeds.len(),
-        GroupState::Serial { .. } => 1,
-        GroupState::Batch { seeds, .. } => seeds.len(),
-        GroupState::Done { lanes } => lanes.len(),
-    }
-}
-
-/// The controlled counterpart of [`run_batched`]: checks the controller
-/// before the first sweep (a stop there records the group as
-/// [`GroupState::Pending`], consuming no RNG words) and polls it at every
-/// sweep boundary after.
-fn run_group_fresh(
-    model: &IsingModel,
-    config: &EnsembleConfig,
-    seeds: &[u64],
-    ctrl: &RunController,
-) -> GroupRun {
-    if let Some(stop) = ctrl.check(0) {
-        return GroupRun {
-            status: stop,
-            state: Some(GroupState::Pending {
-                seeds: seeds.to_vec(),
-            }),
-            outcomes: Vec::new(),
-        };
-    }
-    if let [seed] = seeds {
-        let mut sa = crate::sa::SimulatedAnnealing::new(config.schedule, config.mcs_per_run, *seed)
-            .with_dynamics(config.dynamics);
-        return serial_group_run(*seed, sa.solve_controlled(model, ctrl));
-    }
-    let batch = ReplicaBatch::new(model, seeds);
-    let bests = LaneBests::new(&batch);
-    run_group_steps(model, config, seeds, batch, bests, 0, ctrl)
-}
-
-/// Wraps a serial lane's controlled result as a one-lane group.
-fn serial_group_run(seed: u64, run: Controlled<SaState>) -> GroupRun {
-    let state = match run.status {
-        OutcomeKind::Completed => Some(GroupState::Done {
-            lanes: vec![DoneLane::capture(&run.outcome)],
-        }),
-        OutcomeKind::Checkpointed => run.state.map(|sa| GroupState::Serial { seed, sa }),
-        _ => None,
-    };
-    GroupRun {
-        status: run.status,
-        state,
-        outcomes: vec![run.outcome],
-    }
-}
-
-/// Advances a multi-lane group from schedule step `start` under the
-/// controller — shared by fresh and resumed runs. The final sweep never
-/// checkpoints: a group caught there completes instead.
-fn run_group_steps(
-    model: &IsingModel,
-    config: &EnsembleConfig,
-    seeds: &[u64],
-    mut batch: ReplicaBatch,
-    mut bests: LaneBests,
-    start: usize,
-    ctrl: &RunController,
-) -> GroupRun {
-    let mut status = OutcomeKind::Completed;
-    let mut next_step = config.mcs_per_run;
-    for step in start..config.mcs_per_run {
-        let beta = config.schedule.beta_at(step, config.mcs_per_run);
-        match config.dynamics {
-            Dynamics::Gibbs => batch.sweep_uniform(model, beta),
-            Dynamics::Metropolis => batch.metropolis_sweep_uniform(model, beta),
-        }
-        bests.update(&batch);
-        if step + 1 < config.mcs_per_run {
-            if let Some(stop) = ctrl.poll((step + 1) as u64) {
-                status = stop;
-                next_step = step + 1;
-                break;
+    /// Carries one replica forward: finished replicas re-emit verbatim,
+    /// fresh ones check the controller before their first sweep (a stop
+    /// there records them [`GroupState::Pending`], consuming no RNG words),
+    /// interrupted ones resume from their recorded boundary.
+    fn run_replica(
+        &self,
+        model: &IsingModel,
+        replica: &Replica,
+        ctrl: &RunController,
+    ) -> Result<ReplicaRun, CheckpointError> {
+        let (seed, run) = match replica {
+            Replica::Done(lane) => {
+                return Ok(ReplicaRun {
+                    status: OutcomeKind::Completed,
+                    state: Some(GroupState::Done {
+                        lanes: vec![lane.clone()],
+                    }),
+                    outcome: Some(lane.rebuild(model.len())?),
+                })
             }
-        }
-    }
-    let outcomes: Vec<SolveOutcome> = (0..batch.width())
-        .map(|r| SolveOutcome {
-            last: batch.state(r),
-            last_energy: batch.energy(r),
-            best: bests.state(r).clone(),
-            best_energy: bests.energy(r),
-            mcs: next_step as u64,
-        })
-        .collect();
-    let state = match status {
-        OutcomeKind::Completed => Some(GroupState::Done {
-            lanes: outcomes.iter().map(DoneLane::capture).collect(),
-        }),
-        OutcomeKind::Checkpointed => Some(GroupState::Batch {
-            seeds: seeds.to_vec(),
-            next_step: next_step as u64,
-            lanes: (0..batch.width())
-                .map(|r| LaneState::capture(&batch.lane_snapshot(r)))
-                .collect(),
-            bests: (0..batch.width())
-                .map(|r| BestState::capture(bests.energy(r), bests.state(r)))
-                .collect(),
-        }),
-        _ => None,
-    };
-    GroupRun {
-        status,
-        state,
-        outcomes,
-    }
-}
-
-/// Rebuilds one recorded group and carries it forward: finished groups
-/// re-emit verbatim, pending groups start fresh, interrupted groups resume
-/// from their recorded boundary.
-fn run_group_resumed(
-    model: &IsingModel,
-    config: &EnsembleConfig,
-    group: &GroupState,
-    ctrl: &RunController,
-) -> Result<GroupRun, CheckpointError> {
-    let n = model.len();
-    match group {
-        GroupState::Done { lanes } => {
-            let outcomes = lanes
-                .iter()
-                .map(|l| l.rebuild(n))
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok(GroupRun {
-                status: OutcomeKind::Completed,
-                state: Some(group.clone()),
-                outcomes,
-            })
-        }
-        GroupState::Pending { seeds } => {
-            if seeds.is_empty() {
-                return Err(CheckpointError::Malformed(
-                    "a pending group holds no seeds".into(),
-                ));
+            &Replica::Fresh(seed) => {
+                if let Some(stop) = ctrl.check(0) {
+                    return Ok(ReplicaRun {
+                        status: stop,
+                        state: Some(GroupState::Pending { seeds: vec![seed] }),
+                        outcome: None,
+                    });
+                }
+                (seed, self.annealer(seed).solve_controlled(model, ctrl))
             }
-            Ok(run_group_fresh(model, config, seeds, ctrl))
-        }
-        GroupState::Serial { seed, sa } => {
-            let mut solver =
-                crate::sa::SimulatedAnnealing::new(config.schedule, config.mcs_per_run, *seed)
-                    .with_dynamics(config.dynamics);
-            Ok(serial_group_run(
+            Replica::Running { seed, sa } => (
                 *seed,
-                solver.resume_controlled(model, sa, ctrl)?,
-            ))
-        }
+                self.annealer(*seed).resume_controlled(model, sa, ctrl)?,
+            ),
+        };
+        let state = match run.status {
+            OutcomeKind::Completed => Some(GroupState::Done {
+                lanes: vec![DoneLane::capture(&run.outcome)],
+            }),
+            OutcomeKind::Checkpointed => run.state.map(|sa| GroupState::Serial { seed, sa }),
+            _ => None,
+        };
+        Ok(ReplicaRun {
+            status: run.status,
+            state,
+            outcome: Some(run.outcome),
+        })
+    }
+}
+
+/// One replica's starting point in a controlled run.
+enum Replica {
+    /// Not started: anneal from the seed.
+    Fresh(u64),
+    /// Interrupted: resume the annealer image.
+    Running {
+        /// The replica's seed.
+        seed: u64,
+        /// The annealer image at the boundary.
+        sa: SaState,
+    },
+    /// Finished: re-emit the recorded outcome.
+    Done(DoneLane),
+}
+
+/// Splits a recorded group into its replicas, in replica order.
+fn split_group(group: &GroupState, out: &mut Vec<Replica>) -> Result<(), CheckpointError> {
+    match group {
+        GroupState::Pending { seeds } => out.extend(seeds.iter().map(|&s| Replica::Fresh(s))),
+        GroupState::Serial { seed, sa } => out.push(Replica::Running {
+            seed: *seed,
+            sa: sa.clone(),
+        }),
+        GroupState::Done { lanes } => out.extend(lanes.iter().cloned().map(Replica::Done)),
         GroupState::Batch {
             seeds,
             next_step,
             lanes,
             bests,
         } => {
-            if seeds.is_empty() || seeds.len() != lanes.len() || seeds.len() != bests.len() {
+            if seeds.len() != lanes.len() || seeds.len() != bests.len() {
                 return Err(CheckpointError::Malformed(format!(
                     "batch group holds {} seeds, {} lanes, {} bests",
                     seeds.len(),
@@ -560,49 +388,49 @@ fn run_group_resumed(
                     bests.len()
                 )));
             }
-            let start = usize::try_from(*next_step)
-                .ok()
-                .filter(|&s| s <= config.mcs_per_run)
-                .ok_or_else(|| {
-                    CheckpointError::Malformed(format!(
-                        "resume step {next_step} is beyond the {}-sweep schedule",
-                        config.mcs_per_run
-                    ))
-                })?;
-            let snaps = lanes
-                .iter()
-                .map(|l| l.rebuild(n))
-                .collect::<Result<Vec<_>, _>>()?;
-            let batch = ReplicaBatch::from_lane_snapshots(model, &snaps);
-            let (energies, states): (Vec<f64>, Vec<SpinState>) = bests
-                .iter()
-                .map(|b| b.rebuild(n))
-                .collect::<Result<Vec<_>, _>>()?
-                .into_iter()
-                .unzip();
-            let bests = LaneBests::from_parts(energies, states);
-            Ok(run_group_steps(
-                model, config, seeds, batch, bests, start, ctrl,
-            ))
+            for ((&seed, lane), best) in seeds.iter().zip(lanes).zip(bests) {
+                out.push(Replica::Running {
+                    seed,
+                    sa: SaState {
+                        next_step: *next_step,
+                        machine: lane.machine.clone(),
+                        noise: lane.noise.clone(),
+                        best: best.clone(),
+                    },
+                });
+            }
         }
     }
+    Ok(())
 }
 
-/// Folds per-group runs into one controlled ensemble result: the ordered
-/// strict-`<` reduction over every lane outcome produced so far, a status
-/// merged across groups, and — when every group captured an image — the
+/// One replica's controlled run: its stop status, its resumable image (when
+/// one exists), and its outcome if it took at least one sweep.
+struct ReplicaRun {
+    status: OutcomeKind,
+    /// `Some` for completed replicas (a [`GroupState::Done`] image) and
+    /// checkpointed ones; `None` when the replica stopped without capture
+    /// (cancellation or a missed deadline).
+    state: Option<GroupState>,
+    /// `None` when the replica stopped before its first sweep.
+    outcome: Option<SolveOutcome>,
+}
+
+/// Folds per-replica runs into one controlled ensemble result: the ordered
+/// strict-`<` reduction over every outcome produced so far, a status
+/// merged across replicas, and — when every replica captured an image — the
 /// resumable [`EnsembleState`].
 ///
 /// The merge ranks `Cancelled` over `DeadlineExceeded` over `Checkpointed`.
 /// Ranking the deadline above the checkpoint — the opposite of the
-/// single-run priority — is deliberate: a deadline-stopped group carries no
-/// image, so a mixed deadline/checkpoint race must degrade the whole run to
-/// `DeadlineExceeded` rather than claim a resumable state that does not
+/// single-run priority — is deliberate: a deadline-stopped replica carries
+/// no image, so a mixed deadline/checkpoint race must degrade the whole run
+/// to `DeadlineExceeded` rather than claim a resumable state that does not
 /// exist.
 fn assemble(
     model: &IsingModel,
     batch_index: u64,
-    runs: Vec<GroupRun>,
+    runs: Vec<ReplicaRun>,
 ) -> Controlled<EnsembleState> {
     fn rank(k: OutcomeKind) -> u8 {
         match k {
@@ -620,7 +448,7 @@ fn assemble(
     let mut mcs_total = 0u64;
     let mut best_energy = f64::INFINITY;
     let mut winner: Option<&SolveOutcome> = None;
-    for outcome in runs.iter().flat_map(|r| &r.outcomes) {
+    for outcome in runs.iter().filter_map(|r| r.outcome.as_ref()) {
         mcs_total += outcome.mcs;
         // ordered reduction: strict < keeps the lowest replica on ties
         if outcome.best_energy < best_energy {
@@ -636,7 +464,7 @@ fn assemble(
             best_energy: w.best_energy,
             mcs: mcs_total,
         },
-        // every group stopped before its first sweep: report the trivial
+        // every replica stopped before its first sweep: report the trivial
         // all-up sample so the partial outcome is still well-formed
         None => {
             let state = SpinState::from_values(&vec![1; model.len()]);
@@ -656,7 +484,7 @@ fn assemble(
             .into_iter()
             .map(|r| {
                 r.state
-                    .expect("checkpoint-merged groups all carry an image")
+                    .expect("checkpoint-merged replicas all carry an image")
             })
             .collect(),
     });
@@ -705,7 +533,6 @@ mod tests {
         EnsembleConfig {
             replicas,
             threads,
-            batch_width: 0,
             schedule: BetaSchedule::linear(6.0),
             mcs_per_run: 60,
             dynamics: Dynamics::Gibbs,
@@ -719,24 +546,6 @@ mod tests {
         for threads in [2, 3, 8] {
             let got = EnsembleAnnealer::new(config(6, threads), 42).solve_ensemble(&model);
             assert_eq!(got, reference, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn batch_width_never_changes_results() {
-        let (model, _) = planted_model();
-        let narrow = EnsembleConfig {
-            batch_width: 1,
-            ..config(6, 0)
-        };
-        let reference = EnsembleAnnealer::new(narrow, 42).solve_ensemble(&model);
-        for batch_width in [2, 3, 8, 16, 0] {
-            let cfg = EnsembleConfig {
-                batch_width,
-                ..config(6, 0)
-            };
-            let got = EnsembleAnnealer::new(cfg, 42).solve_ensemble(&model);
-            assert_eq!(got, reference, "batch_width = {batch_width}");
         }
     }
 
@@ -822,35 +631,67 @@ mod tests {
     }
 
     #[test]
-    fn interrupted_resume_is_bit_identical_across_widths_and_threads() {
+    fn interrupted_resume_is_bit_identical_across_threads() {
         let (model, _) = planted_model();
         let oracle = EnsembleAnnealer::new(config(6, 1), 42).solve(&model);
         for stop in [1u64, 7, 29] {
-            for batch_width in [1usize, 4, 8] {
-                let cfg = EnsembleConfig {
-                    batch_width,
-                    ..config(6, 1)
-                };
-                let ctrl = RunController::unlimited()
-                    .with_stop_after(stop)
-                    .with_poll_interval(1);
-                let cut = EnsembleAnnealer::new(cfg, 42).solve_controlled(&model, &ctrl);
-                assert_eq!(cut.status, OutcomeKind::Checkpointed);
-                let state = cut.state.expect("checkpointed runs carry state");
-                for threads in [1usize, 2, 8] {
-                    let cfg2 = EnsembleConfig { threads, ..cfg };
-                    let mut second = EnsembleAnnealer::new(cfg2, 42);
-                    let resumed = second
-                        .resume_controlled(&model, &state, &RunController::unlimited())
-                        .expect("state fits the ensemble");
-                    assert_eq!(resumed.status, OutcomeKind::Completed);
-                    assert_eq!(
-                        resumed.outcome, oracle,
-                        "stop={stop} width={batch_width} threads={threads}"
-                    );
-                }
+            let ctrl = RunController::unlimited()
+                .with_stop_after(stop)
+                .with_poll_interval(1);
+            let cut = EnsembleAnnealer::new(config(6, 1), 42).solve_controlled(&model, &ctrl);
+            assert_eq!(cut.status, OutcomeKind::Checkpointed);
+            let state = cut.state.expect("checkpointed runs carry state");
+            for threads in [1usize, 2, 8] {
+                let mut second = EnsembleAnnealer::new(config(6, threads), 42);
+                let resumed = second
+                    .resume_controlled(&model, &state, &RunController::unlimited())
+                    .expect("state fits the ensemble");
+                assert_eq!(resumed.status, OutcomeKind::Completed);
+                assert_eq!(resumed.outcome, oracle, "stop={stop} threads={threads}");
             }
         }
+    }
+
+    #[test]
+    fn multi_lane_batch_groups_resume_as_serial_replicas() {
+        // a state from the era of multi-lane groups: every replica's image
+        // folded into one `Batch` group must resume to the same outcome
+        let (model, _) = planted_model();
+        let oracle = EnsembleAnnealer::new(config(4, 1), 23).solve(&model);
+        let ctrl = RunController::unlimited()
+            .with_stop_after(11)
+            .with_poll_interval(1);
+        let cut = EnsembleAnnealer::new(config(4, 1), 23).solve_controlled(&model, &ctrl);
+        let state = cut.state.expect("checkpointed");
+        let mut seeds = Vec::new();
+        let mut lanes = Vec::new();
+        let mut bests = Vec::new();
+        for group in &state.groups {
+            let GroupState::Serial { seed, sa } = group else {
+                panic!("every replica stopped mid-run: {group:?}");
+            };
+            assert_eq!(sa.next_step, 11);
+            seeds.push(*seed);
+            lanes.push(crate::checkpoint::LaneState {
+                machine: sa.machine.clone(),
+                noise: sa.noise.clone(),
+            });
+            bests.push(sa.best.clone());
+        }
+        let legacy = EnsembleState {
+            batch_index: state.batch_index,
+            groups: vec![GroupState::Batch {
+                seeds,
+                next_step: 11,
+                lanes,
+                bests,
+            }],
+        };
+        let resumed = EnsembleAnnealer::new(config(4, 2), 23)
+            .resume_controlled(&model, &legacy, &RunController::unlimited())
+            .expect("a batch group splits into serial replicas");
+        assert_eq!(resumed.status, OutcomeKind::Completed);
+        assert_eq!(resumed.outcome, oracle);
     }
 
     #[test]

@@ -1353,7 +1353,8 @@ impl Drop for ClientHandle {
 /// Reads one `\n`-terminated line of at most `limit` bytes. Distinguishes
 /// a clean EOF (`Ok(None)`), a complete line, an oversized line, a timeout
 /// with a partial line buffered (the slow-loris signature), and transport
-/// errors.
+/// errors. An interrupted read (`EINTR`, e.g. after the process was
+/// stopped and continued) is retried, idle or mid-frame.
 pub(crate) fn read_line_capped<R: BufRead>(
     reader: &mut R,
     limit: usize,
@@ -1362,6 +1363,7 @@ pub(crate) fn read_line_capped<R: BufRead>(
     loop {
         let chunk = match reader.fill_buf() {
             Ok(chunk) => chunk,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
@@ -1396,6 +1398,21 @@ pub(crate) fn read_line_capped<R: BufRead>(
             return Ok(Some(String::from_utf8_lossy(&buf).into_owned()));
         }
     }
+}
+
+/// Reads and parses one response line — [`NdjsonClient::recv`]'s read
+/// path. `read_line` retries interrupted reads (`EINTR`) internally, so a
+/// stop/continue of the process never splits a frame.
+fn read_response<R: BufRead>(reader: &mut R) -> std::io::Result<Response> {
+    let mut line = String::new();
+    if reader.read_line(&mut line)? == 0 {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            "server closed the connection",
+        ));
+    }
+    Response::from_line(line.trim_end())
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
 }
 
 pub(crate) enum ReadError {
@@ -1540,16 +1557,7 @@ impl NdjsonClient {
     /// kinds for transport failures, and `InvalidData` when the server sent
     /// a line this client's schema cannot parse.
     pub fn recv(&mut self) -> std::io::Result<Response> {
-        let mut line = String::new();
-        let n = self.reader.read_line(&mut line)?;
-        if n == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "server closed the connection",
-            ));
-        }
-        Response::from_line(line.trim_end())
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
+        read_response(&mut self.reader)
     }
 
     /// Submits with retry: on [`Response::Overloaded`] sleeps the larger of
@@ -1623,6 +1631,83 @@ mod tests {
             .with_instance_digest(job ^ 0xD1)
     }
 
+    /// A reader that replays a script of byte chunks and `EINTR`s (`None`)
+    /// — the shape of a timed socket read around a stop/continue of the
+    /// process.
+    struct Scripted {
+        steps: std::collections::VecDeque<Option<Vec<u8>>>,
+        chunk: Vec<u8>,
+        pos: usize,
+    }
+
+    impl Scripted {
+        fn new(steps: &[Option<&[u8]>]) -> Self {
+            Scripted {
+                steps: steps.iter().map(|s| s.map(<[u8]>::to_vec)).collect(),
+                chunk: Vec::new(),
+                pos: 0,
+            }
+        }
+    }
+
+    impl std::io::Read for Scripted {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            let available = self.fill_buf()?;
+            let n = available.len().min(out.len());
+            out[..n].copy_from_slice(&available[..n]);
+            self.consume(n);
+            Ok(n)
+        }
+    }
+
+    impl BufRead for Scripted {
+        fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
+            if self.pos == self.chunk.len() {
+                match self.steps.pop_front() {
+                    Some(Some(bytes)) => (self.chunk, self.pos) = (bytes, 0),
+                    Some(None) => return Err(std::io::ErrorKind::Interrupted.into()),
+                    None => {}
+                }
+            }
+            Ok(&self.chunk[self.pos..])
+        }
+
+        fn consume(&mut self, n: usize) {
+            self.pos += n;
+        }
+    }
+
+    #[test]
+    fn interrupted_reads_still_return_the_full_line() {
+        // EINTR before a frame starts, then twice in its middle
+        let mut reader = Scripted::new(&[
+            None,
+            Some(b"{\"frame\":\"stats\""),
+            None,
+            None,
+            Some(b",\"x\":1}\n"),
+            Some(b"next\n"),
+        ]);
+        let mut read = || read_line_capped(&mut reader, 1024).map_err(|_| "read failed");
+        assert_eq!(read(), Ok(Some("{\"frame\":\"stats\",\"x\":1}".into())));
+        assert_eq!(read(), Ok(Some("next".into())));
+        assert_eq!(read(), Ok(None));
+    }
+
+    #[test]
+    fn interrupted_response_reads_still_return_the_full_frame() {
+        let frame = Response::Rejected {
+            code: "json".into(),
+            error: "bad".into(),
+        }
+        .to_line();
+        let bytes = format!("{frame}\n").into_bytes();
+        let (head, tail) = bytes.split_at(bytes.len() / 2);
+        let mut reader = Scripted::new(&[None, Some(head), None, Some(tail)]);
+        let response = read_response(&mut reader).expect("a full frame");
+        assert_eq!(response.to_line(), frame);
+    }
+
     fn slow_spec(job: u64, seed: u64) -> JobSpec {
         let mut b = QuboBuilder::new(6);
         for i in 0..6 {
@@ -1641,7 +1726,7 @@ mod tests {
         )
     }
 
-    /// A job that cannot finish before a cancel lands: the lane-major batch
+    /// A job that cannot finish before a cancel lands: the p-bit machine
     /// sweeps small models in microseconds, so the running-cancel test needs
     /// hours of scripted work to hold its race window open.
     fn endless_spec(job: u64, seed: u64) -> JobSpec {

@@ -26,25 +26,22 @@
 //!   energy bookkeeping, updating through a three-tier decision kernel
 //!   (per-spin saturation classification, exact saturation short-circuit,
 //!   certified tanh bracket) that replays the exact-`tanh` rule
-//!   bit-for-bit at a fraction of its hot-regime cost,
+//!   bit-for-bit at a fraction of its hot-regime cost; a machine held at
+//!   one β skips its settled spins through a slack-budgeted candidate list.
+//!   It is the one sweep kernel every engine below runs on,
 //! - [`bracket`] — the certified rational `tanh` bounds behind tier 3 and
 //!   their flip-decision helper,
-//! - [`ReplicaBatch`] — R replicas of one model in structure-of-arrays spin
-//!   and field planes, advanced together so one coupling-row pass updates
-//!   every replica's field lane; per-lane trajectories are bit-identical to
-//!   serial machines for any batch width (the CPU shape of the future GPU
-//!   batch sweep),
 //! - [`NoiseSource`] — a block-buffered tap on a ChaCha8 stream for the
 //!   sweep noise, preserving the per-decision draw order exactly,
 //! - [`BetaSchedule`] — annealing schedules (the paper uses a linear sweep
 //!   from 0 to `β_max` per run),
 //! - [`SimulatedAnnealing`] — one annealed run reading the last sample, as
 //!   SAIM's inner minimizer,
-//! - [`EnsembleAnnealer`] — R independent replicas of a model annealed
-//!   across threads in batched lane groups, with deterministic per-replica
-//!   RNG streams and an ordered best-of-ensemble reduction (bit-identical
-//!   for any thread count and batch width); the run-level engine behind the
-//!   bench harness's repetition loops,
+//! - [`EnsembleAnnealer`] — R independent [`SimulatedAnnealing`] runs of a
+//!   model mapped across threads, with deterministic per-replica RNG
+//!   streams and an ordered best-of-ensemble reduction (bit-identical for
+//!   any thread count); the run-level engine behind the bench harness's
+//!   repetition loops,
 //! - [`parallel`] — the deterministic fork–join primitives the ensemble
 //!   (and the bench harness's instance grids) run on, plus the bounded
 //!   queue under the job service,
@@ -115,7 +112,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod batch;
 pub mod bracket;
 pub mod checkpoint;
 pub mod cluster;
@@ -132,7 +128,6 @@ pub mod service;
 mod solver;
 mod telemetry;
 
-pub use batch::ReplicaBatch;
 pub use checkpoint::{
     Checkpoint, CheckpointError, Controlled, EngineState, OutcomeKind, RunController,
 };

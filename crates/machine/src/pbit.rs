@@ -9,10 +9,8 @@ use saim_ising::{Couplings, IsingModel, Spin, SpinState};
 /// sign of the saturated activation for every drawable `u` — the update is
 /// deterministic, so both the tanh and the noise draw are skipped. This is
 /// exact, not approximate: cold sweeps (large `β·I`) cost a compare instead
-/// of a transcendental plus an RNG advance. The batched sweep engine
-/// ([`crate::ReplicaBatch`]) shares this constant so its per-lane decisions
-/// replay the serial machine bit-for-bit.
-pub(crate) const SATURATION: f64 = 20.0;
+/// of a transcendental plus an RNG advance.
+const SATURATION: f64 = 20.0;
 
 /// Relative pad (`1 + 2⁻¹⁶`) on the per-spin saturation classification: a
 /// spin counts as *never-saturating* at β only when `β · D_i · CLASS_PAD`
@@ -25,8 +23,8 @@ pub(crate) const SATURATION: f64 = 20.0;
 /// classification would need on the order of 2³⁶ flips *of one spin's
 /// neighbours between resyncs* to be breached, far beyond any realizable
 /// run. The oracle replay proptests and the determinism suites pin the
-/// contract empirically. Shared by the serial and batched engines.
-pub(crate) const CLASS_PAD: f64 = 1.0 + 1.0 / (1u64 << 16) as f64;
+/// contract empirically.
+const CLASS_PAD: f64 = 1.0 + 1.0 / (1u64 << 16) as f64;
 
 /// Upward pad on the settled-filter thresholds: `field · spin ≥
 /// (SATURATION / β) · SETTLE_PAD_UP` *certifies* `β · field · spin ≥
@@ -36,8 +34,65 @@ pub(crate) const CLASS_PAD: f64 = 1.0 + 1.0 / (1u64 << 16) as f64;
 /// short-circuit with no flip and no draw, independent of any
 /// classification. Division rounding can only make the filter
 /// conservative: a settled spin that fails it merely pays the exact
-/// compares. Shared by the serial and batched engines.
-pub(crate) const SETTLE_PAD_UP: f64 = 1.0 + 16.0 * f64::EPSILON;
+/// compares.
+const SETTLE_PAD_UP: f64 = 1.0 + 16.0 * f64::EPSILON;
+
+/// The settled list is kept only while at most `n / ACTIVE_DIV` spins are
+/// unsettled — beyond that the masked visit approaches a full scan and the
+/// bookkeeping is pure overhead.
+const ACTIVE_DIV: usize = 8;
+
+/// Multiplicative pad on the per-flip slack charge `2 · max_j |J_ij|`,
+/// covering the (exact-in-theory) product's headroom with margin to spare.
+const CHARGE_PAD: f64 = 1.0 + 1e-9;
+
+/// Absolute per-flip pad, in units of the model's global field bound:
+/// one field update `f += J · ±2` rounds by at most
+/// `ε · (|f| + 2 max|J|) ≈ 2.2e-16 · field_bound`, and the rebuild's margin
+/// subtraction rounds once by the same order — `1e-12 · field_bound` per
+/// flip dominates both by four orders of magnitude.
+const CHARGE_ABS: f64 = 1e-12;
+
+/// Target lifetime, in worst-case flips, of a freshly rebuilt settled list.
+///
+/// A list of *only* the unsettled spins can be worthless: on quenched
+/// knapsack models the binary-weighted slack bits leave a few settled
+/// spins barely over threshold, so the budget (the smallest out-of-list
+/// margin) dies after one flip and the machine thrashes between masked
+/// visits, fallback scans, and rebuilds. The rebuild therefore absorbs
+/// near-threshold *settled* spins into the list too, widening the guard
+/// band until the out-of-list margin would survive `GUARD_HORIZON`
+/// worst-case flips. The band is auto-tuned by trying geometric rungs
+/// `L, L/4, L/16, L/64` (with `L = GUARD_HORIZON · c_max`, `c_max` the
+/// largest per-flip charge among unsettled spins) and keeping the widest
+/// rung whose list still fits `n / ACTIVE_DIV`; typical flips charge far
+/// less than `c_max`, so accepted budgets usually last much longer than
+/// the nominal horizon.
+const GUARD_HORIZON: f64 = 64.0;
+
+/// A settled list must survive this many masked sweeps to pay for its
+/// rebuild scan; a list that dies younger puts the machine on rebuild
+/// cooldown instead of rebuilding straight away.
+const MIN_LIST_AGE: u32 = 8;
+
+/// Full sweeps the machine waits after a short-lived list or an abandoned
+/// rebuild before trying another one at the same β. Hot regimes flip
+/// spins faster than any slack budget survives; without this back-off
+/// they would pay a masked visit, a fallback scan, *and* a rebuild every
+/// sweep — slower than never masking at all. A β change ends the back-off:
+/// it was earned in another regime.
+const REBUILD_COOLDOWN: u32 = 256;
+
+/// The settle threshold of a Gibbs sweep at `beta`: `field · spin ≥
+/// settle` certifies saturated *and* aligned (see [`SETTLE_PAD_UP`]);
+/// β = 0 maps to +∞ (nothing settles).
+fn settle_threshold(beta: f64) -> f64 {
+    if beta > 0.0 {
+        (SATURATION / beta) * SETTLE_PAD_UP
+    } else {
+        f64::INFINITY
+    }
+}
 
 /// Plain-data image of a [`PbitMachine`]'s books — exact field and energy
 /// values included — used by the checkpoint layer. The fields must be the
@@ -53,6 +108,57 @@ pub(crate) struct MachineSnapshot {
     pub energy: f64,
     /// Lifetime flip counter.
     pub flips: u64,
+}
+
+/// The settled-set candidate list of a [`PbitMachine`] (see the type docs'
+/// settled-set section). Derived data only: it never changes a decision,
+/// so it is not part of a [`MachineSnapshot`].
+#[derive(Debug, Clone)]
+struct SettledList {
+    /// Ascending indices of every spin not certified settled by the budget.
+    active: Vec<u32>,
+    /// The settle threshold the list certifies against; `NaN` marks the
+    /// list dead (compared bitwise, so a β change of any size misses).
+    settle: f64,
+    /// Remaining slack budget: the smallest out-of-list margin at the last
+    /// rebuild minus the rounding pad, minus a charge for every flip since.
+    slack: f64,
+    /// The settle threshold of the previous Gibbs sweep (`NaN` after any
+    /// uncharged book change): rebuilds only trigger while β holds across
+    /// consecutive sweeps, so annealed schedules never pay the rebuild scan.
+    last_settle: f64,
+    /// Masked sweeps the current list has survived.
+    age: u32,
+    /// Full sweeps at `last_settle` left before another rebuild may be
+    /// tried.
+    cooldown: u32,
+    /// Per-spin flip charge `2 · max_j |J_ij| · CHARGE_PAD + pad`; empty
+    /// until the first rebuild after a book recompute.
+    charges: Vec<f64>,
+    /// `CHARGE_ABS · max_i D_i`, the absolute rounding pad of a charge.
+    pad: f64,
+}
+
+impl SettledList {
+    fn new() -> Self {
+        SettledList {
+            active: Vec::new(),
+            settle: f64::NAN,
+            slack: 0.0,
+            last_settle: f64::NAN,
+            age: 0,
+            cooldown: 0,
+            charges: Vec::new(),
+            pad: 0.0,
+        }
+    }
+
+    /// Drops the list's certificate after a book change its budget did not
+    /// charge; the next rebuild waits for two sweeps at one β again.
+    fn kill(&mut self) {
+        self.settle = f64::NAN;
+        self.last_settle = f64::NAN;
+    }
 }
 
 /// A network of probabilistic bits emulating a p-computer in software.
@@ -99,8 +205,48 @@ pub(crate) struct MachineSnapshot {
 /// tiers 1–2 consume nothing, exactly like the pre-bracket kernel. The
 /// trajectory is therefore bit-identical to
 /// [`PbitMachine::sweep_exact_oracle`] — the retained exact-`tanh`
-/// reference kernel — for every seed, schedule, batch width and thread
-/// count, as the oracle replay proptests and `tests/determinism.rs` assert.
+/// reference kernel — for every seed, schedule and thread count, as the
+/// oracle replay proptests and `tests/determinism.rs` assert.
+///
+/// # The settled-set list
+///
+/// A machine held at one β — a constant schedule, a parallel-tempering
+/// ladder slot, a deep quench — re-certifies nearly every spin every
+/// sweep. Once a full scan finds at least `n − n/8` spins settled at the
+/// same threshold as the sweep before, the machine rebuilds a *candidate
+/// list*: the ascending indices of every spin not provably settled, tagged
+/// with the threshold `θ` it certifies and a *slack budget* `b`. While the
+/// tag matches and `b > 0`, a sweep visits only the list.
+///
+/// **Why skipping is exact.** At a rebuild every out-of-list spin `i` has
+/// margin `μ_i = I_i s_i − θ` of at least `b + pad`. Out-of-list spins
+/// are settled, so they never flip; a flip of a listed spin `j` moves any
+/// other field by `|2 J_ij| ≤ 2 max_k |J_jk|`, and the budget is charged
+/// `2 max_k |J_jk| · CHARGE_PAD + pad` for it, the pads covering every
+/// rounding of the field update and the margin subtraction. So
+/// `μ_i − b` never shrinks, every out-of-list margin stays above a
+/// positive budget, and each skipped spin would have passed the settled
+/// test — a no-draw, no-flip keep in the full scan. The masked visit
+/// re-tests each candidate's certificate in ascending order and decides it
+/// through the same three tiers, so states, fields, draws and flip counts
+/// replay the full scan bit for bit. If a flip exhausts the budget mid
+/// sweep, the spins after it lose their certificate: the sweep finishes as
+/// a full scan from the next spin and the list dies.
+///
+/// **Who kills the tag.** A sweep at another β misses the tag, and its
+/// full scan flips spins without charging the budget, so it drops the
+/// list. Every other book change the budget does not charge drops it too:
+/// [`PbitMachine::resync`], [`PbitMachine::randomize`],
+/// [`PbitMachine::reset_to`], a snapshot restore, and the Metropolis,
+/// greedy and exact-oracle sweeps.
+///
+/// **What it costs.** The per-spin charges are computed on the first
+/// rebuild after a book recompute, so an annealed run — whose β changes
+/// every sweep and which therefore never rebuilds — pays one compare per
+/// sweep. A rebuild absorbs near-threshold settled spins into the list
+/// ([`GUARD_HORIZON`]), and short-lived lists back off for
+/// [`REBUILD_COOLDOWN`] sweeps at their β ([`MIN_LIST_AGE`]) so hot
+/// regimes do not thrash.
 ///
 /// ```
 /// use saim_ising::{QuboBuilder, IsingModel};
@@ -140,6 +286,8 @@ pub struct PbitMachine {
     /// Whether `drive_bounds` must be recomputed from the model before the
     /// next classification.
     bounds_stale: bool,
+    /// The settled-set candidate list (see the type docs).
+    settled: SettledList,
 }
 
 impl PbitMachine {
@@ -178,6 +326,7 @@ impl PbitMachine {
             flips: 0,
             drive_bounds: vec![0.0; model.len()],
             bounds_stale: true,
+            settled: SettledList::new(),
         };
         machine.recompute_books(model);
         machine
@@ -204,6 +353,13 @@ impl PbitMachine {
         slot.as_mut().expect("just set")
     }
 
+    /// Whether the settled list is live — a read-only view for the
+    /// engines' unit tests, which cannot see the list itself.
+    #[cfg(test)]
+    pub(crate) fn settled_list_is_live(&self) -> bool {
+        self.settled.settle.is_finite()
+    }
+
     /// Captures the machine's books exactly — spins, incrementally
     /// maintained local fields and energy, and the flip counter — for the
     /// checkpoint layer.
@@ -223,8 +379,9 @@ impl PbitMachine {
     /// from the model, but a recomputed field is summed in a different
     /// association order than the incrementally-maintained one and so is not
     /// bit-identical to it; resuming through a resync would fork the
-    /// trajectory from the uninterrupted run. Drive bounds are derived data
-    /// and are lazily recomputed on the first sweep.
+    /// trajectory from the uninterrupted run. Drive bounds and the settled
+    /// list are derived data: the bounds are lazily recomputed on the first
+    /// sweep, and the list starts dead.
     ///
     /// # Panics
     ///
@@ -243,6 +400,7 @@ impl PbitMachine {
             flips: snap.flips,
             drive_bounds: vec![0.0; model.len()],
             bounds_stale: true,
+            settled: SettledList::new(),
         }
     }
 
@@ -273,10 +431,11 @@ impl PbitMachine {
     /// ones) and then the energy in O(N) via
     /// [`PbitMachine::energy_from_fields`].
     ///
-    /// Also invalidates the cached drive bounds and saturation
-    /// classification: every book recompute may follow a model change (a
+    /// Also invalidates the cached drive bounds, the settled list and its
+    /// per-spin charges: every book recompute may follow a model change (a
     /// SAIM λ-resync, or machine reuse on a different model of the same
-    /// size), and the bounds depend on `|h|` and `|J|`.
+    /// size), and the bounds depend on `|h|` and `|J|`. Invalidation is
+    /// O(1); the charges are recomputed only if a list is rebuilt.
     fn recompute_books(&mut self, model: &IsingModel) {
         let couplings = model.couplings();
         for (i, (field, &h)) in self.local_fields.iter_mut().zip(model.fields()).enumerate() {
@@ -284,6 +443,8 @@ impl PbitMachine {
         }
         self.energy = self.energy_from_fields(model);
         self.bounds_stale = true;
+        self.settled.kill();
+        self.settled.charges.clear();
     }
 
     /// Refreshes the per-spin drive bounds (lazily, only after a book
@@ -388,8 +549,13 @@ impl PbitMachine {
         self.spins_f[i] = -old;
         let delta = -2.0 * old; // new - old spin value
         match model.couplings() {
+            // a plain zip loop the compiler auto-vectorizes (an A/B against
+            // a manually 8-blocked version measured no slower — the pass is
+            // memory-bound); elementwise, so bit-identical to any blocking
             Couplings::Dense(m) => {
-                propagate_dense(&mut self.local_fields, m.row(i), delta);
+                for (f, &jij) in self.local_fields.iter_mut().zip(m.row(i)) {
+                    *f += jij * delta;
+                }
             }
             // sparse fast path: only actual neighbours shift (Qubo::to_ising
             // stores low-density models as CSR for exactly this loop)
@@ -436,21 +602,72 @@ impl PbitMachine {
         self.sweep_with(model, beta, noise)
     }
 
+    /// One Gibbs sweep: the masked visit of the settled list when the list
+    /// is live at this β, the full scan otherwise (see the type docs).
     fn sweep_with<N: SweepNoise>(&mut self, model: &IsingModel, beta: f64, noise: &mut N) -> usize {
         assert_eq!(self.state.len(), model.len(), "state length mismatch");
         self.ensure_drive_bounds(model);
-        // `field · spin ≥ settle` certifies saturated *and* aligned (see
-        // `SETTLE_PAD_UP`) — independent of any per-spin bound, so one
-        // scalar threshold serves the whole scan; β = 0 maps to +∞
-        // (nothing settles).
-        let settle = if beta > 0.0 {
-            (SATURATION / beta) * SETTLE_PAD_UP
-        } else {
-            f64::INFINITY
-        };
+        let settle = settle_threshold(beta);
+        let changed =
+            if self.settled.slack > 0.0 && self.settled.settle.to_bits() == settle.to_bits() {
+                self.settled.age = self.settled.age.saturating_add(1);
+                self.masked_sweep(model, beta, settle, noise)
+            } else {
+                // this scan can flip any spin without charging the budget, so a
+                // list built under an earlier β is stale the moment it runs
+                self.settled.settle = f64::NAN;
+                let (changed, settled) = self.scan_from(model, beta, settle, 0, noise);
+                let n = self.state.len();
+                let list = &mut self.settled;
+                if list.last_settle.to_bits() != settle.to_bits() {
+                    // a new β is a new regime: a back-off earned at the old
+                    // one (say, by a machine an exchange moved here) is void
+                    list.cooldown = 0;
+                } else if list.cooldown > 0 {
+                    list.cooldown -= 1;
+                } else if n > 0 && settled >= n - n / ACTIVE_DIV && settle.is_finite() {
+                    // quenched and β held for two sweeps: one predicate scan
+                    // buys skipping the full scan from the next sweep on
+                    self.rebuild_settled(model, settle);
+                }
+                changed
+            };
+        self.settled.last_settle = settle;
+        changed
+    }
+
+    /// The three-tier decision for an unsettled spin `i` with field `f`
+    /// (see the type docs): spins whose precomputed drive bound can reach
+    /// saturation at this β run the exact compares; never-saturating spins
+    /// — the hot regime's majority — go straight to the drawn bracket
+    /// decision. Both replay the exact kernel bit-for-bit.
+    #[inline(always)]
+    fn gibbs_up<N: SweepNoise>(&self, i: usize, beta: f64, f: f64, noise: &mut N) -> bool {
+        let drive = beta * f;
+        if beta * self.drive_bounds[i] * CLASS_PAD >= SATURATION {
+            if drive >= SATURATION {
+                return true;
+            } else if drive <= -SATURATION {
+                return false;
+            }
+        }
+        gibbs_decision(drive, noise.noise_symmetric())
+    }
+
+    /// The full Gibbs scan over spins `start..n`. Returns the number of
+    /// spins that changed and the number that passed the settled test.
+    fn scan_from<N: SweepNoise>(
+        &mut self,
+        model: &IsingModel,
+        beta: f64,
+        settle: f64,
+        start: usize,
+        noise: &mut N,
+    ) -> (usize, usize) {
         let n = self.state.len();
         let mut changed = 0;
-        let mut i = 0;
+        let mut settled = 0;
+        let mut i = start;
         while i < n {
             // Settled scan: a whole run of settled spins — for each of
             // which the old kernel would decide "keep, no draw" — is
@@ -459,6 +676,7 @@ impl PbitMachine {
             // test (their field bound sits below `SATURATION / β`), so
             // they always stop the scan.
             let run = settled_run(&self.local_fields[i..n], &self.spins_f[i..n], settle);
+            settled += run;
             i += run;
             // Then a run of *unsettled* spins — the hot knapsack slack bits
             // sit on consecutive indices, so deciding them in one tight
@@ -469,37 +687,134 @@ impl PbitMachine {
                 if f * self.spins_f[i] >= settle {
                     break;
                 }
-                // The three-tier decision (see the type docs): spins whose
-                // precomputed drive bound can reach saturation at this β
-                // run the exact compares; never-saturating spins — the hot
-                // regime's majority — go straight to the drawn bracket
-                // decision. Both replay the exact kernel bit-for-bit.
-                let drive = beta * f;
-                let new_up = if beta * self.drive_bounds[i] * CLASS_PAD >= SATURATION {
-                    if drive >= SATURATION {
-                        true
-                    } else if drive <= -SATURATION {
-                        false
-                    } else {
-                        gibbs_decision(drive, noise.noise_symmetric())
-                    }
-                } else {
-                    gibbs_decision(drive, noise.noise_symmetric())
-                };
-                if new_up != (self.spins_f[i] > 0.0) {
+                if self.gibbs_up(i, beta, f, noise) != (self.spins_f[i] > 0.0) {
                     self.apply_flip(model, i);
                     changed += 1;
                 }
                 i += 1;
             }
         }
+        (changed, settled)
+    }
+
+    /// The masked Gibbs visit: only the listed candidates are tested, each
+    /// re-testing the exact certificate in ascending order, so it replays
+    /// the full scan bit-for-bit (type docs). Every flip charges the slack
+    /// budget; if the budget runs out mid-sweep the sweep finishes as a
+    /// full scan from the next spin and the list dies — rebuilt at once if
+    /// it paid for itself, otherwise after a cooldown.
+    fn masked_sweep<N: SweepNoise>(
+        &mut self,
+        model: &IsingModel,
+        beta: f64,
+        settle: f64,
+        noise: &mut N,
+    ) -> usize {
+        let mut changed = 0;
+        for k in 0..self.settled.active.len() {
+            let i = self.settled.active[k] as usize;
+            let f = self.local_fields[i];
+            if f * self.spins_f[i] >= settle
+                || self.gibbs_up(i, beta, f, noise) == (self.spins_f[i] > 0.0)
+            {
+                continue;
+            }
+            self.apply_flip(model, i);
+            changed += 1;
+            self.settled.slack -= self.settled.charges[i];
+            if self.settled.slack <= 0.0 {
+                self.settled.settle = f64::NAN;
+                changed += self.scan_from(model, beta, settle, i + 1, noise).0;
+                if self.settled.age >= MIN_LIST_AGE {
+                    self.rebuild_settled(model, settle);
+                } else {
+                    // died young: this regime flips too fast for any budget
+                    self.settled.cooldown = REBUILD_COOLDOWN;
+                }
+                break;
+            }
+        }
         changed
+    }
+
+    /// Rebuilds the settled list against `settle` (type docs).
+    ///
+    /// Every unsettled spin must join the list, but listing *only* them
+    /// seeds the budget with the raw minimum settled margin, which can be
+    /// one flip deep (see [`GUARD_HORIZON`]). So the rebuild also pulls
+    /// near-threshold settled spins in: it measures every spin's margin
+    /// `f·s − settle` (negative ⇔ unsettled), then widens a guard band over
+    /// geometric rungs `L, L/4, L/16, L/64` — `L` sized for
+    /// [`GUARD_HORIZON`] worst-case flips — keeping the widest band whose
+    /// list fits `n / ACTIVE_DIV`. Out-of-list spins all clear the band, so
+    /// the budget starts at the first margin *beyond* it. Abandons the list
+    /// (and cools down) if the unsettled spins alone overflow the cap or no
+    /// budget survives the rounding pad.
+    fn rebuild_settled(&mut self, model: &IsingModel, settle: f64) {
+        let n = self.state.len();
+        let cap = n / ACTIVE_DIV + 1;
+        let list = &mut self.settled;
+        list.settle = f64::NAN;
+        list.cooldown = REBUILD_COOLDOWN;
+        if list.charges.len() != n {
+            let couplings = model.couplings();
+            let field_bound = self.drive_bounds.iter().fold(0.0_f64, |a, &b| a.max(b));
+            list.pad = field_bound * CHARGE_ABS;
+            list.charges = (0..n)
+                .map(|i| 2.0 * couplings.row_max_abs(i) * CHARGE_PAD + list.pad)
+                .collect();
+        }
+
+        // pass 1: margins for every spin, plus the worst per-flip charge
+        // among the unsettled (the only spins guaranteed into the list)
+        let mut margins = vec![0.0_f64; n];
+        let mut unsettled = 0usize;
+        let mut c_max = 0.0_f64;
+        for (i, margin) in margins.iter_mut().enumerate() {
+            *margin = self.local_fields[i] * self.spins_f[i] - settle;
+            if *margin < 0.0 {
+                unsettled += 1;
+                c_max = c_max.max(list.charges[i]);
+            }
+        }
+        if unsettled > cap {
+            return;
+        }
+
+        // pass 2: widest guard band whose candidate list fits the cap
+        let top = GUARD_HORIZON * c_max;
+        for rung in [top, top / 4.0, top / 16.0, top / 64.0] {
+            list.active.clear();
+            let mut out_min = f64::INFINITY;
+            let mut fits = true;
+            for (i, &m) in margins.iter().enumerate() {
+                if m >= rung {
+                    out_min = out_min.min(m);
+                } else if list.active.len() < cap {
+                    list.active.push(i as u32);
+                } else {
+                    fits = false;
+                    break;
+                }
+            }
+            if fits {
+                // lower rungs only shrink out_min, so accept or abandon here
+                let slack = out_min - list.pad;
+                if slack > 0.0 {
+                    list.slack = slack;
+                    list.settle = settle;
+                    list.age = 0;
+                    list.cooldown = 0;
+                }
+                return;
+            }
+        }
     }
 
     /// The pre-bracket reference Gibbs sweep: exact `tanh` plus one noise
     /// draw on every unsaturated spin, one global saturation short-circuit —
     /// the kernel [`PbitMachine::sweep`] replaced and must replay
-    /// bit-for-bit.
+    /// bit-for-bit. It keeps no settled list.
     ///
     /// Kept as the **oracle** for the bracket-kernel replay proptests and
     /// as the exact-tanh baseline of the hot-regime benches; never called
@@ -534,6 +849,7 @@ impl PbitMachine {
         noise: &mut N,
     ) -> usize {
         assert_eq!(self.state.len(), model.len(), "state length mismatch");
+        self.settled.kill();
         let mut changed = 0;
         for i in 0..self.state.len() {
             let drive = beta * self.local_fields[i];
@@ -600,6 +916,7 @@ impl PbitMachine {
         noise: &mut N,
     ) -> usize {
         assert_eq!(self.state.len(), model.len(), "state length mismatch");
+        self.settled.kill();
         let mut changed = 0;
         for i in 0..self.state.len() {
             let delta = 2.0 * self.spins_f[i] * self.local_fields[i];
@@ -618,6 +935,7 @@ impl PbitMachine {
     /// Returns the number of spins that changed.
     pub fn greedy_sweep(&mut self, model: &IsingModel) -> usize {
         assert_eq!(self.state.len(), model.len(), "state length mismatch");
+        self.settled.kill();
         let mut changed = 0;
         for i in 0..self.state.len() {
             let delta = 2.0 * self.spins_f[i] * self.local_fields[i];
@@ -634,13 +952,12 @@ impl PbitMachine {
 /// `fields[j] · spins[j] ≥ thresh` for every `j < k`.
 ///
 /// The hot loop of the settled scan: whole blocks of 8 spins are tested
-/// with a branchless compare-count the compiler keeps in vector registers
-/// (the same shape as the batched engine's lane filter), and only the
-/// breaking block is refined element-wise. Purely a read-only count — the
-/// caller decides the first unsettled spin through the full kernel, so
-/// blocking can never change a decision or a draw.
+/// with a branchless compare-count the compiler keeps in vector registers,
+/// and only the breaking block is refined element-wise. Purely a read-only
+/// count — the caller decides the first unsettled spin through the full
+/// kernel, so blocking can never change a decision or a draw.
 #[inline(always)]
-pub(crate) fn settled_run(fields: &[f64], spins: &[f64], thresh: f64) -> usize {
+fn settled_run(fields: &[f64], spins: &[f64], thresh: f64) -> usize {
     const BLOCK: usize = 8;
     let n = fields.len();
     let mut i = 0;
@@ -660,18 +977,6 @@ pub(crate) fn settled_run(fields: &[f64], spins: &[f64], thresh: f64) -> usize {
         i += 1;
     }
     i
-}
-
-/// The dense flip propagation `I += delta · row` as a plain zip loop the
-/// compiler auto-vectorizes (an A/B against a manually 8-blocked version
-/// measured no slower — the pass is memory-bound). Elementwise, so the
-/// results are bit-identical to any blocking. Shared with the batched
-/// engine's width-1 serial path ([`crate::ReplicaBatch`]).
-#[inline]
-pub(crate) fn propagate_dense(fields: &mut [f64], row: &[f64], delta: f64) {
-    for (f, &jij) in fields.iter_mut().zip(row) {
-        *f += jij * delta;
-    }
 }
 
 #[cfg(test)]
@@ -1009,6 +1314,217 @@ mod tests {
         }
         assert_eq!(settled_run(&[], &[], 1.0), 0);
         assert_eq!(settled_run(&[5.0; 19], &[1.0; 19], 2.0), 19);
+    }
+
+    /// A model whose leading `strong` spins carry a drive far past any
+    /// realistic `SATURATION / β` threshold, so the settled scan's blocked
+    /// prefix skip engages and ends exactly where the strong run ends, and
+    /// a held β quenches it into the settled list's regime.
+    fn settled_prefix_model(n: usize, strong: usize) -> IsingModel {
+        let mut b = QuboBuilder::new(n);
+        for i in 0..strong {
+            b.add_linear(i, -50.0).unwrap();
+        }
+        for i in strong..n {
+            b.add_linear(i, 0.2 - 0.1 * (i % 3) as f64).unwrap();
+        }
+        for i in 1..n {
+            b.add_pair(i - 1, i, if i % 2 == 0 { 0.4 } else { -0.3 })
+                .unwrap();
+        }
+        b.build().to_ising()
+    }
+
+    /// Replays `machine.sweep_buffered` against an exact-oracle twin on the
+    /// same stream for every β of `schedule`, then hands both back.
+    fn replay_oracle(
+        model: &IsingModel,
+        seed: u64,
+        schedule: impl IntoIterator<Item = f64>,
+    ) -> (PbitMachine, PbitMachine) {
+        let twin = || {
+            let mut rng = new_rng(seed);
+            let machine = PbitMachine::new(model, &mut rng);
+            (machine, NoiseSource::new(rng))
+        };
+        let ((mut machine, mut noise), (mut oracle, mut oracle_noise)) = (twin(), twin());
+        for (sweep, beta) in schedule.into_iter().enumerate() {
+            let changed = machine.sweep_buffered(model, beta, &mut noise);
+            let expected = oracle.sweep_exact_oracle_buffered(model, beta, &mut oracle_noise);
+            assert_eq!(changed, expected, "changed at sweep {sweep}");
+            assert_eq!(machine.state(), oracle.state(), "sweep {sweep}");
+            assert_eq!(machine.energy().to_bits(), oracle.energy().to_bits());
+            assert_eq!(machine.flips(), oracle.flips(), "sweep {sweep}");
+        }
+        (machine, oracle)
+    }
+
+    #[test]
+    fn settled_tile_boundaries_replay_exact_oracle() {
+        // saturated prefixes ending exactly at, one short of, and one past
+        // the settled scan's 8-spin block boundary, plus deep into the
+        // vector — the scan (and the masked visit once the held β builds a
+        // list) must hand over to the decision loop at the right spin
+        for strong in [7usize, 8, 9, 16, 23, 28] {
+            let model = settled_prefix_model(32, strong);
+            for r in 0..5 {
+                let schedule = (0..40).map(|s| if s < 10 { 0.3 * s as f64 } else { 2.0 });
+                let (machine, oracle) = replay_oracle(&model, 100 * strong as u64 + r, schedule);
+                for i in 0..model.len() {
+                    assert_eq!(
+                        machine.local_field(i).to_bits(),
+                        oracle.local_field(i).to_bits(),
+                        "field {i}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn slack_exhaustion_mid_masked_sweep_replays_exact_oracle() {
+        // a long settled prefix plus four weak coin-flip tail spins: at a
+        // held β = 2 the machine goes masked with a finite budget (~40, the
+        // strong spins' margin) that the tail flips erode by ~0.8 each, so
+        // within this horizon it repeatedly crosses the mid-sweep
+        // budget-exhaustion fallback and the post-fallback rebuild
+        let model = settled_prefix_model(32, 28);
+        for seed in 0..3 {
+            let (machine, _) = replay_oracle(&model, seed, std::iter::repeat_n(2.0, 200));
+            assert!(machine.settled.settle.is_finite() || machine.settled.cooldown > 0);
+        }
+    }
+
+    #[test]
+    fn flips_that_erode_an_out_of_list_margin_replay_exact_oracle() {
+        // three weak list spins share one coupled spin A whose margin sits
+        // just outside the narrowest guard band; 44 uncoupled filler spins
+        // at margin 2 overflow the wider bands. Two adverse weak flips
+        // charge the budget dry, three push A below its settle threshold —
+        // only the per-flip charge keeps the masked visit from skipping it
+        let beta = 2.0;
+        let theta = SATURATION / beta;
+        let n = 48;
+        let mut couplings = saim_ising::SymmetricMatrix::zeros(n);
+        let mut fields = vec![theta + 2.0; n];
+        for (w, field) in fields.iter_mut().enumerate().take(3) {
+            couplings.set(w, 3, 0.5).unwrap();
+            *field = -0.3;
+        }
+        fields[3] = theta + 1.2;
+        let model = IsingModel::new(Couplings::Dense(couplings), fields, 0.0).unwrap();
+        for seed in 0..4 {
+            let (machine, _) = replay_oracle(&model, seed, std::iter::repeat_n(beta, 3000));
+            assert!(machine.flips() > 100, "the weak spins keep flipping");
+        }
+    }
+
+    #[test]
+    fn settled_list_stays_a_valid_certificate_under_held_beta() {
+        // after every held-β sweep on a quenched model, a live list must
+        // certify every spin it leaves out: settled, with a margin no
+        // smaller than the remaining slack budget
+        let model = settled_prefix_model(48, 42);
+        for beta in [2.0, 8.0, 50.0] {
+            let settle = settle_threshold(beta);
+            let mut rng = new_rng(3);
+            let mut machine = PbitMachine::new(&model, &mut rng);
+            let mut noise = NoiseSource::new(rng);
+            let mut live = 0;
+            for sweep in 0..300 {
+                machine.sweep_buffered(&model, beta, &mut noise);
+                let list = &machine.settled;
+                if list.settle.to_bits() != settle.to_bits() {
+                    continue;
+                }
+                live += 1;
+                assert!(list.slack > 0.0, "a live list has budget left");
+                assert!(list.active.windows(2).all(|w| w[0] < w[1]), "ascending");
+                assert!(list.active.len() <= model.len() / ACTIVE_DIV + 1);
+                for i in 0..model.len() {
+                    if list.active.binary_search(&(i as u32)).is_ok() {
+                        continue;
+                    }
+                    let margin = machine.local_fields[i] * machine.spins_f[i] - settle;
+                    assert!(
+                        margin >= list.slack,
+                        "beta {beta} sweep {sweep}: spin {i} margin {margin} < slack {}",
+                        list.slack
+                    );
+                }
+            }
+            assert!(
+                live > 250,
+                "beta {beta}: the list was live for {live} sweeps"
+            );
+        }
+    }
+
+    #[test]
+    fn uncharged_book_changes_kill_the_settled_list() {
+        let model = settled_prefix_model(32, 30);
+        let live_machine = |rng: &mut ChaCha8Rng| {
+            let mut machine = PbitMachine::new(&model, rng);
+            for _ in 0..5 {
+                machine.sweep(&model, 8.0, rng);
+            }
+            assert!(machine.settled.settle.is_finite(), "held β builds a list");
+            machine
+        };
+        let mut rng = new_rng(4);
+        for change in 0..6 {
+            let mut machine = live_machine(&mut rng);
+            match change {
+                0 => machine.resync(&model),
+                1 => machine.randomize(&model, &mut rng),
+                2 => machine.reset_to(&model, &machine.state().clone()),
+                3 => {
+                    machine.metropolis_sweep(&model, 8.0, &mut rng);
+                }
+                4 => {
+                    machine.greedy_sweep(&model);
+                }
+                _ => {
+                    machine.sweep_exact_oracle(&model, 8.0, &mut rng);
+                }
+            }
+            assert!(machine.settled.settle.is_nan(), "book change {change}");
+        }
+        let restored = PbitMachine::from_snapshot(&model, &live_machine(&mut rng).snapshot());
+        assert!(restored.settled.settle.is_nan());
+    }
+
+    #[test]
+    fn swapped_machines_carry_live_lists_and_keep_replaying() {
+        // the parallel-tempering exchange: two machines with live lists at
+        // different β trade places; each continues at the other's β and
+        // must still replay an oracle twin that took the same swap
+        let model = settled_prefix_model(32, 28);
+        let twin = |seed: u64| {
+            let mut rng = new_rng(seed);
+            let machine = PbitMachine::new(&model, &mut rng);
+            (machine, NoiseSource::new(rng))
+        };
+        let betas = [2.0, 50.0];
+        let mut machines = [twin(1), twin(2)];
+        let mut oracles = [twin(1), twin(2)];
+        for round in 0..12 {
+            for k in 0..2 {
+                for _ in 0..10 {
+                    let (m, noise) = &mut machines[k];
+                    m.sweep_buffered(&model, betas[k], noise);
+                    let (o, noise) = &mut oracles[k];
+                    o.sweep_exact_oracle_buffered(&model, betas[k], noise);
+                    assert_eq!(m.state(), o.state(), "round {round} slot {k}");
+                    assert_eq!(m.energy().to_bits(), o.energy().to_bits());
+                }
+            }
+            assert!(machines.iter().all(|(m, _)| m.settled.settle.is_finite()));
+            let [(a, _), (b, _)] = &mut machines;
+            std::mem::swap(a, b);
+            let [(a, _), (b, _)] = &mut oracles;
+            std::mem::swap(a, b);
+        }
     }
 
     #[test]

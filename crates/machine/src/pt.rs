@@ -9,21 +9,22 @@
 //! terms create, and the algorithm run on Fujitsu's Digital Annealer in the
 //! paper's comparison \[17\].
 //!
-//! # Batched parallel execution and determinism
+//! # Parallel execution and determinism
 //!
-//! Rounds are embarrassingly parallel across the ladder. Adjacent slots are
-//! grouped — eight per group — into one structure-of-arrays
-//! [`ReplicaBatch`], so within a group every coupling-row pass of a sweep
-//! serves all member slots at once, and each round's group sweeps fan out
-//! over one **persistent per-solve worker pool**
-//! ([`parallel::parallel_rounds`]): the pool spawns once, rounds open and
-//! close on a barrier, and the serial exchange phase runs between rounds
-//! with every worker parked — a swap cadence of a few microseconds of work
-//! per slot would be swamped by per-round thread spawns otherwise. Results
-//! are **bit-identical for any thread count** — and identical to the
-//! one-machine-per-slot engine, by the batch's lane-invariance contract —
-//! because no random stream is ever shared between concurrently-running
-//! slots:
+//! Every ladder slot holds one [`PbitMachine`] and one [`NoiseSource`].
+//! Rounds are embarrassingly parallel across the ladder: workers take
+//! slots one at a time, hottest first, over one **persistent per-solve
+//! worker pool** ([`parallel::parallel_rounds`]): the pool spawns once,
+//! rounds open and close on a barrier, and the serial exchange phase runs
+//! between rounds with every worker parked — a swap cadence of a few
+//! microseconds of work per slot would be swamped by per-round thread
+//! spawns otherwise. Hot slots cost the most (few spins settle), so
+//! handing them out first balances the round; contiguous per-worker chunks
+//! of the ladder would leave one worker all the hot slots.
+//! A slot's β never changes, so its machine's settled list (see
+//! [`PbitMachine`]) skips the settled spins of the cold slots. Results are
+//! **bit-identical for any thread count** because no random stream is ever
+//! shared between concurrently-running slots:
 //!
 //! - **RNG-stream layout.** Each `solve` call is a *batch*; batch `b` of a
 //!   solver seeded `s` derives `batch_seed = derive_seed(s, b)`. Ladder slot
@@ -39,11 +40,11 @@
 //!   and the swap stream, never of scheduling. Exchanges happen strictly
 //!   *between* rounds: none follows the final round, so the readout is the
 //!   coldest slot's state straight after its last sweeps.
-//! - **Exchange semantics.** An accepted swap exchanges the *replica
-//!   payloads* (spin state, local fields, energy, flip count — batch lanes
-//!   here, whole machines in a serial replay) between the two slots;
-//!   streams, temperatures and best-so-far tracking stay attached to their
-//!   ladder slots.
+//! - **Exchange semantics.** An accepted swap exchanges the two slots'
+//!   *machines* (`mem::swap`: spin state, local fields, energy, flip count,
+//!   and the settled list, whose threshold tag makes it miss at the new
+//!   β); streams, temperatures and best-so-far tracking stay attached to
+//!   their ladder slots.
 //!
 //! A serial replay of the same layout (sweep slots `0..R` in order each
 //! round, then apply the swap phase) reproduces the parallel result exactly;
@@ -64,30 +65,19 @@
 //! # }
 //! ```
 
-use crate::batch::{LaneBests, ReplicaBatch};
 use crate::checkpoint::{
     BestState, CheckpointError, Controlled, LaneState, OutcomeKind, PtState, RngState,
     RunController,
 };
 use crate::parallel;
-use crate::rng::{derive_seed, new_rng};
+use crate::pbit::PbitMachine;
+use crate::rng::{derive_seed, new_rng, NoiseSource};
 use crate::solver::{IsingSolver, SolveOutcome};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use saim_ising::{IsingModel, SpinState};
 use serde::{Deserialize, Serialize};
 use std::sync::Mutex;
-
-/// Cap on ladder slots advanced together per structure-of-arrays batch:
-/// within a group every coupling-row pass is shared ([`ReplicaBatch`]), and
-/// eight f64 lanes fill one AVX-512 register while keeping the spin/field
-/// planes cache-resident. The actual group width adapts downward so the
-/// per-round fan-out still covers the worker pool (more workers → narrower
-/// groups, never below one slot); lane trajectories are
-/// batch-width-invariant, so the grouping affects wall-clock only — results
-/// match the one-machine-per-slot engine bit for bit for every thread
-/// count, as `tests/determinism.rs` asserts.
-const MAX_GROUP_WIDTH: usize = 8;
 
 /// Configuration of the parallel-tempering solver.
 ///
@@ -106,10 +96,9 @@ pub struct PtConfig {
     /// Replica-exchange attempts happen between rounds of `swap_interval`
     /// sweeps (never after the final round).
     pub swap_interval: usize,
-    /// Worker threads for the per-round fan-out over slot groups (eight
-    /// adjacent ladder slots share one batched sweep); `0` means all
-    /// available cores. The thread count affects wall-clock only, never
-    /// results.
+    /// Worker threads for the per-round fan-out over ladder slots; `0`
+    /// means all available cores. The thread count affects wall-clock
+    /// only, never results.
     pub threads: usize,
 }
 
@@ -161,43 +150,60 @@ impl PtConfig {
     }
 }
 
-/// One batched group of adjacent ladder slots: the slots' replicas in
-/// structure-of-arrays lanes (lane `l` = slot `base + l`), their β
-/// sub-ladder, and per-slot best tracking.
-///
-/// An exchange moves the replica payload (state, fields, energy, flips)
-/// between lanes while each slot keeps its stream and its best — exactly
-/// the machine-swap semantics of the serial engine.
-struct PtGroup {
-    batch: ReplicaBatch,
-    /// β of each lane (`ladder[base..base + width]`).
-    betas: Vec<f64>,
-    bests: LaneBests,
+/// One ladder slot: the machine sampling at the slot's β, the slot's noise
+/// stream, and its best-so-far. An accepted exchange swaps the machines of
+/// two slots; stream, β and best stay with the slot.
+struct PtSlot {
+    machine: PbitMachine,
+    noise: NoiseSource,
+    beta: f64,
+    best_energy: f64,
+    best: SpinState,
 }
 
-impl PtGroup {
-    /// Builds the group's batch once per solve; the batch computes the
-    /// model's per-spin drive bounds at construction, so the three-tier
-    /// decision kernel's classification is shared by every round (the
-    /// ladder's fixed per-lane β costs no per-round rework). Width-1 groups
-    /// — the narrow-group shape on many-core hosts — take the batch's
-    /// serial sweep path, paying no structure-of-arrays overhead.
-    fn new(model: &IsingModel, seeds: &[u64], betas: Vec<f64>) -> Self {
-        let batch = ReplicaBatch::new(model, seeds);
-        let bests = LaneBests::new(&batch);
-        PtGroup {
-            batch,
-            betas,
-            bests,
+impl PtSlot {
+    /// A fresh slot: the initial state from the slot's stream, which then
+    /// feeds the slot's sweeps.
+    fn new(model: &IsingModel, seed: u64, beta: f64) -> Self {
+        let mut rng = new_rng(seed);
+        let machine = PbitMachine::new(model, &mut rng);
+        PtSlot {
+            best_energy: machine.energy(),
+            best: machine.state().clone(),
+            machine,
+            noise: NoiseSource::new(rng),
+            beta,
         }
     }
 
-    /// Runs `sweeps` batched Monte Carlo sweeps, each lane at its own β,
-    /// tracking every slot's best after every sweep.
+    /// A slot restored from its checkpoint images, books verbatim.
+    fn restore(
+        model: &IsingModel,
+        lane: &LaneState,
+        best: &BestState,
+        beta: f64,
+    ) -> Result<Self, CheckpointError> {
+        let (machine, noise) = lane.rebuild(model.len())?;
+        let (best_energy, best) = best.rebuild(model.len())?;
+        Ok(PtSlot {
+            machine: PbitMachine::from_snapshot(model, &machine),
+            noise: NoiseSource::from_snapshot(&noise),
+            beta,
+            best_energy,
+            best,
+        })
+    }
+
+    /// Runs `sweeps` Gibbs sweeps at the slot's β, tracking the best after
+    /// every sweep (strict `<`, so the earliest sample wins ties).
     fn run_round(&mut self, model: &IsingModel, sweeps: usize) {
         for _ in 0..sweeps {
-            self.batch.sweep(model, &self.betas);
-            self.bests.update(&self.batch);
+            self.machine
+                .sweep_buffered(model, self.beta, &mut self.noise);
+            if self.machine.energy() < self.best_energy {
+                self.best_energy = self.machine.energy();
+                self.best.copy_from(self.machine.state());
+            }
         }
     }
 }
@@ -280,8 +286,7 @@ impl ParallelTempering {
 
     /// Continues a checkpointed run from its [`PtState`]; the completed run
     /// is bit-identical to one that was never interrupted, at any thread
-    /// count — slots are stored flat and regrouped under the resuming
-    /// pool's own width (lane trajectories are batch-width-invariant).
+    /// count — slots are stored flat, and any pool can sweep them.
     ///
     /// # Errors
     ///
@@ -307,7 +312,6 @@ impl ParallelTempering {
     ) -> Result<Controlled<PtState>, CheckpointError> {
         let config = self.config;
         let r = config.replicas;
-        let n = model.len();
         let ladder = config.ladder();
 
         // round lengths: swap_interval sweeps each, with a short final round
@@ -322,36 +326,18 @@ impl ParallelTempering {
         }
         let rounds = lens.len();
 
-        // Adjacent slots share a batch so every coupling-row pass serves the
-        // whole group. The width adapts to the worker pool — narrower groups
-        // when more workers are available, so the round fan-out still covers
-        // every core — capped at MAX_GROUP_WIDTH for cache residency. Lane
-        // trajectories are batch-width-invariant, so this is wall-clock
-        // only. Group construction consumes only the member slots' own
-        // streams, so building serially changes nothing.
-        let workers = if config.threads == 0 {
-            parallel::available_threads()
-        } else {
-            config.threads
-        };
-        let width = r.div_ceil(workers.max(1)).clamp(1, MAX_GROUP_WIDTH);
-        let group_count = r.div_ceil(width);
-        // slot k lives in group k / width, lane k % width
-        let locate = |k: usize| (k / width, k % width);
-
-        let (groups, mut swap_rng, start_round) = match resume {
+        let (slots, mut swap_rng, start_round) = match resume {
             None => {
-                let groups: Vec<Mutex<PtGroup>> = (0..group_count)
-                    .map(|g| {
-                        let lo = g * width;
-                        let hi = r.min(lo + width);
-                        let seeds: Vec<u64> = (lo..hi)
-                            .map(|k| self.stream_seed(batch, k as u64))
-                            .collect();
-                        Mutex::new(PtGroup::new(model, &seeds, ladder[lo..hi].to_vec()))
+                let slots: Vec<Mutex<PtSlot>> = (0..r)
+                    .map(|k| {
+                        Mutex::new(PtSlot::new(
+                            model,
+                            self.stream_seed(batch, k as u64),
+                            ladder[k],
+                        ))
                     })
                     .collect();
-                (groups, new_rng(self.stream_seed(batch, r as u64)), 0usize)
+                (slots, new_rng(self.stream_seed(batch, r as u64)), 0usize)
             }
             Some(state) => {
                 if state.lanes.len() != r || state.bests.len() != r {
@@ -370,32 +356,18 @@ impl ParallelTempering {
                             state.next_round
                         ))
                     })?;
-                let groups = (0..group_count)
-                    .map(|g| {
-                        let lo = g * width;
-                        let hi = r.min(lo + width);
-                        let snaps = state.lanes[lo..hi]
-                            .iter()
-                            .map(|l| l.rebuild(n))
-                            .collect::<Result<Vec<_>, _>>()?;
-                        let (energies, states): (Vec<f64>, Vec<SpinState>) = state.bests[lo..hi]
-                            .iter()
-                            .map(|b| b.rebuild(n))
-                            .collect::<Result<Vec<_>, _>>()?
-                            .into_iter()
-                            .unzip();
-                        Ok(Mutex::new(PtGroup {
-                            batch: ReplicaBatch::from_lane_snapshots(model, &snaps),
-                            betas: ladder[lo..hi].to_vec(),
-                            bests: LaneBests::from_parts(energies, states),
-                        }))
+                let slots = (0..r)
+                    .map(|k| {
+                        PtSlot::restore(model, &state.lanes[k], &state.bests[k], ladder[k])
+                            .map(Mutex::new)
                     })
-                    .collect::<Result<Vec<_>, CheckpointError>>()?;
+                    .collect::<Result<Vec<_>, _>>()?;
                 self.swap_attempts = state.swap_attempts;
                 self.swap_accepts = state.swap_accepts;
-                (groups, state.swap_rng.rebuild()?, start)
+                (slots, state.swap_rng.rebuild()?, start)
             }
         };
+        let lock = |k: usize| slots[k].lock().expect("no worker panicked");
 
         let mut attempts = self.swap_attempts;
         let mut accepts = self.swap_accepts;
@@ -409,7 +381,7 @@ impl ParallelTempering {
             status = stop;
             if stop == OutcomeKind::Checkpointed {
                 captured = Some(capture_state(
-                    &groups,
+                    &slots,
                     batch,
                     start_round,
                     &swap_rng,
@@ -419,15 +391,12 @@ impl ParallelTempering {
             }
         } else {
             parallel::parallel_rounds_while(
-                group_count,
+                r,
                 config.threads,
                 rounds - start_round,
-                // fork: every group batch-sweeps its round, each lane on its
-                // private stream at its own β
-                |round, g| {
-                    let mut group = groups[g].lock().expect("no worker panicked");
-                    group.run_round(model, lens[start_round + round]);
-                },
+                // fork: workers take slots hottest first, each sweeping on
+                // its private stream at its own β
+                |round, k| lock(k).run_round(model, lens[start_round + round]),
                 // join: serial exchange phase on the dedicated swap stream,
                 // fixed even/odd pair schedule (absolute round parity picks
                 // the offset); no exchange follows the final round — the
@@ -443,37 +412,12 @@ impl ParallelTempering {
                     let mut k = abs % 2;
                     while k + 1 < r {
                         attempts += 1;
-                        let (ga, la) = locate(k);
-                        let (gb, lb) = locate(k + 1);
-                        let energy_k = groups[ga]
-                            .lock()
-                            .expect("no worker panicked")
-                            .batch
-                            .energy(la);
-                        let energy_k1 = groups[gb]
-                            .lock()
-                            .expect("no worker panicked")
-                            .batch
-                            .energy(lb);
-                        let accept_ln = (ladder[k] - ladder[k + 1]) * (energy_k - energy_k1);
+                        let (mut hot, mut cold) = (lock(k), lock(k + 1));
+                        let accept_ln = (ladder[k] - ladder[k + 1])
+                            * (hot.machine.energy() - cold.machine.energy());
                         if accept_ln >= 0.0 || swap_rng.gen::<f64>() < accept_ln.exp() {
                             accepts += 1;
-                            if ga == gb {
-                                groups[ga]
-                                    .lock()
-                                    .expect("no worker panicked")
-                                    .batch
-                                    .swap_lanes(la, lb);
-                            } else {
-                                let mut a = groups[ga].lock().expect("no worker panicked");
-                                let mut b = groups[gb].lock().expect("no worker panicked");
-                                ReplicaBatch::swap_lanes_between(
-                                    &mut a.batch,
-                                    la,
-                                    &mut b.batch,
-                                    lb,
-                                );
-                            }
+                            std::mem::swap(&mut hot.machine, &mut cold.machine);
                         }
                         k += 2;
                     }
@@ -481,7 +425,7 @@ impl ParallelTempering {
                         status = stop;
                         if stop == OutcomeKind::Checkpointed {
                             captured = Some(capture_state(
-                                &groups,
+                                &slots,
                                 batch,
                                 abs + 1,
                                 &swap_rng,
@@ -503,27 +447,19 @@ impl ParallelTempering {
         let mut best_slot = 0usize;
         let mut best_energy = f64::INFINITY;
         for k in 0..r {
-            let (g, l) = locate(k);
-            let group = groups[g].lock().expect("no worker panicked");
-            if group.bests.energy(l) < best_energy {
-                best_energy = group.bests.energy(l);
+            let slot = lock(k);
+            if slot.best_energy < best_energy {
+                best_energy = slot.best_energy;
                 best_slot = k;
             }
         }
-        let (g, l) = locate(best_slot);
-        let best = groups[g]
-            .lock()
-            .expect("no worker panicked")
-            .bests
-            .state(l)
-            .clone();
+        let best = lock(best_slot).best.clone();
         // the coldest slot is the machine's readout
-        let (g, l) = locate(r - 1);
-        let cold = groups[g].lock().expect("no worker panicked");
+        let cold = lock(r - 1);
         Ok(Controlled {
             outcome: SolveOutcome {
-                last: cold.batch.state(l),
-                last_energy: cold.batch.energy(l),
+                last: cold.machine.state().clone(),
+                last_energy: cold.machine.energy(),
                 best,
                 best_energy,
                 mcs: sweeps_done * r as u64,
@@ -534,29 +470,27 @@ impl ParallelTempering {
     }
 }
 
-/// Snapshots the whole ladder — every slot's lane and best, flat and in
+/// Snapshots the whole ladder — every slot's machine, stream and best, in
 /// slot order — plus the swap stream and counters, as of `next_round`.
-/// Callers hold no group lock; every worker is parked when this runs.
+/// Callers hold no slot lock; every worker is parked when this runs.
 fn capture_state(
-    groups: &[Mutex<PtGroup>],
+    slots: &[Mutex<PtSlot>],
     batch: u64,
     next_round: usize,
     swap_rng: &ChaCha8Rng,
     attempts: u64,
     accepts: u64,
 ) -> PtState {
-    let mut lanes = Vec::new();
-    let mut bests = Vec::new();
-    for group in groups {
-        let group = group.lock().expect("no worker panicked");
-        for l in 0..group.batch.width() {
-            lanes.push(LaneState::capture(&group.batch.lane_snapshot(l)));
-            bests.push(BestState::capture(
-                group.bests.energy(l),
-                group.bests.state(l),
-            ));
-        }
-    }
+    let (lanes, bests) = slots
+        .iter()
+        .map(|slot| {
+            let slot = slot.lock().expect("no worker panicked");
+            (
+                LaneState::capture(&slot.machine, &slot.noise),
+                BestState::capture(slot.best_energy, &slot.best),
+            )
+        })
+        .unzip();
     PtState {
         batch_index: batch,
         next_round: next_round as u64,
@@ -646,47 +580,133 @@ mod tests {
         assert!((r0 - r1).abs() < 1e-9);
     }
 
-    /// Width-1 lane groups — the grouping every many-worker host produces
-    /// when workers outnumber ladder slots — take the batch's serial-shaped
-    /// scan sweep: each slot must replay a serial [`PbitMachine`] fed the
-    /// same stream bit for bit, held β and annealing alike.
-    #[test]
-    fn width_one_pt_groups_replay_serial_machines() {
-        use crate::pbit::PbitMachine;
-        use crate::rng::NoiseSource;
+    /// A quenched model: 28 strongly biased spins the settled list can
+    /// skip and a weakly coupled 4-spin tail that keeps flipping.
+    fn quenched_model() -> IsingModel {
+        let mut b = QuboBuilder::new(32);
+        for i in 0..32 {
+            let linear = if i < 28 {
+                -50.0
+            } else {
+                0.2 - 0.1 * (i % 3) as f64
+            };
+            b.add_linear(i, linear).unwrap();
+        }
+        for i in 1..32 {
+            b.add_pair(i - 1, i, if i % 2 == 0 { 0.4 } else { -0.3 })
+                .unwrap();
+        }
+        b.build().to_ising()
+    }
 
-        let model = rugged_model();
-        let betas = [0.7, 1.3, 2.9, 40.0];
-        let mut groups: Vec<PtGroup> = betas
+    /// The serial slot oracle: the same stream layout and swap schedule as
+    /// [`ParallelTempering::solve`], every slot swept by the exact-tanh
+    /// reference kernel (which keeps no settled list). Returns the outcome
+    /// and, per accepted exchange, whether a machine with a live settled
+    /// list moved into the other slot — observed on list-keeping twins
+    /// that follow the same trajectory.
+    fn slot_oracle(model: &IsingModel, cfg: PtConfig, seed: u64) -> (SolveOutcome, usize) {
+        let pt = ParallelTempering::new(cfg, seed);
+        let r = cfg.replicas;
+        let ladder = cfg.ladder();
+        let twin = |k: usize| {
+            let mut rng = new_rng(pt.stream_seed(0, k as u64));
+            let machine = PbitMachine::new(model, &mut rng);
+            (machine, NoiseSource::new(rng))
+        };
+        let mut oracle: Vec<(PbitMachine, NoiseSource)> = (0..r).map(twin).collect();
+        let mut listed: Vec<(PbitMachine, NoiseSource)> = (0..r).map(twin).collect();
+        let mut bests: Vec<(f64, SpinState)> = oracle
             .iter()
-            .enumerate()
-            .map(|(k, &beta)| PtGroup::new(&model, &[derive_seed(5, k as u64)], vec![beta]))
+            .map(|(m, _)| (m.energy(), m.state().clone()))
             .collect();
-        let mut serial: Vec<(PbitMachine, NoiseSource)> = (0..betas.len() as u64)
-            .map(|k| {
-                let mut rng = new_rng(derive_seed(5, k));
-                let machine = PbitMachine::new(&model, &mut rng);
-                (machine, NoiseSource::new(rng))
-            })
-            .collect();
-        for _round in 0..6 {
-            for g in &mut groups {
-                g.run_round(&model, 10);
-            }
-            for ((machine, noise), &beta) in serial.iter_mut().zip(&betas) {
-                for _ in 0..10 {
-                    machine.sweep_buffered(&model, beta, noise);
+        let mut swap_rng = new_rng(pt.stream_seed(0, r as u64));
+        let rounds = cfg.sweeps.div_ceil(cfg.swap_interval);
+        let mut live_carried = 0;
+        for round in 0..rounds {
+            let len = cfg
+                .swap_interval
+                .min(cfg.sweeps - round * cfg.swap_interval);
+            for k in 0..r {
+                for _ in 0..len {
+                    let (machine, noise) = &mut oracle[k];
+                    machine.sweep_exact_oracle_buffered(model, ladder[k], noise);
+                    let (twin, twin_noise) = &mut listed[k];
+                    twin.sweep_buffered(model, ladder[k], twin_noise);
+                    assert_eq!(twin.state(), machine.state(), "slot {k} round {round}");
+                    if machine.energy() < bests[k].0 {
+                        bests[k] = (machine.energy(), machine.state().clone());
+                    }
                 }
             }
-            for (k, (g, (machine, _))) in groups.iter().zip(&serial).enumerate() {
-                assert_eq!(g.batch.state(0), *machine.state(), "slot {k}");
-                assert_eq!(
-                    g.batch.energy(0).to_bits(),
-                    machine.energy().to_bits(),
-                    "slot {k} energy"
-                );
+            if round + 1 == rounds {
+                break;
+            }
+            let mut k = round % 2;
+            while k + 1 < r {
+                let accept_ln =
+                    (ladder[k] - ladder[k + 1]) * (oracle[k].0.energy() - oracle[k + 1].0.energy());
+                if accept_ln >= 0.0 || swap_rng.gen::<f64>() < accept_ln.exp() {
+                    let (lo, hi) = oracle.split_at_mut(k + 1);
+                    std::mem::swap(&mut lo[k].0, &mut hi[0].0);
+                    let (lo, hi) = listed.split_at_mut(k + 1);
+                    live_carried += usize::from(lo[k].0.settled_list_is_live());
+                    live_carried += usize::from(hi[0].0.settled_list_is_live());
+                    std::mem::swap(&mut lo[k].0, &mut hi[0].0);
+                }
+                k += 2;
             }
         }
+        let mut best = 0;
+        for k in 1..r {
+            if bests[k].0 < bests[best].0 {
+                best = k;
+            }
+        }
+        let cold = &oracle[r - 1].0;
+        let outcome = SolveOutcome {
+            last: cold.state().clone(),
+            last_energy: cold.energy(),
+            best: bests[best].1.clone(),
+            best_energy: bests[best].0,
+            mcs: (cfg.sweeps * r) as u64,
+        };
+        (outcome, live_carried)
+    }
+
+    #[test]
+    fn exchanges_carry_live_settled_lists_and_replay_the_slot_oracle() {
+        // every slot is cold enough to quench and build a settled list, so
+        // accepted exchanges move live lists into slots at another β
+        let model = quenched_model();
+        for threads in [1usize, 2, 3] {
+            let cfg = PtConfig {
+                replicas: 4,
+                beta_min: 2.0,
+                beta_max: 50.0,
+                sweeps: 200,
+                swap_interval: 10,
+                threads,
+            };
+            let (oracle, live_carried) = slot_oracle(&model, cfg, 13);
+            assert!(live_carried > 0, "no exchange carried a live list");
+            let got = ParallelTempering::new(cfg, 13).solve(&model);
+            assert_eq!(got, oracle, "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn annealing_ladders_replay_the_slot_oracle() {
+        let model = rugged_model();
+        let cfg = PtConfig {
+            replicas: 5,
+            sweeps: 120,
+            swap_interval: 7,
+            threads: 2,
+            ..PtConfig::default()
+        };
+        let (oracle, _) = slot_oracle(&model, cfg, 29);
+        assert_eq!(ParallelTempering::new(cfg, 29).solve(&model), oracle);
     }
 
     #[test]

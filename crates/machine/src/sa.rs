@@ -19,11 +19,12 @@ use saim_ising::{IsingModel, SpinState};
 /// stochastic runs of one reproducible stream — exactly the "2000 SA runs of
 /// 10³ MCS" structure of the paper's Table I.
 ///
-/// The machine is reused across runs, so the per-spin drive bounds behind
-/// the sweep's three-tier decision kernel (see [`PbitMachine`]) are
-/// computed once per model and survive every re-anneal; the per-sweep β of
-/// the schedule costs no reclassification (the kernel classifies undecided
-/// spins on demand from the cached bounds).
+/// The machine is reused across runs; each re-anneal costs one field
+/// resync, and the per-sweep β of the schedule costs no reclassification
+/// (the kernel classifies undecided spins on demand from cached drive
+/// bounds, see [`PbitMachine`]). A schedule that holds β — a constant one,
+/// or the flat tail of a deep quench — lets the machine's settled list skip
+/// the settled spins; a linear ramp never builds one.
 ///
 /// ```
 /// use saim_ising::QuboBuilder;
@@ -46,9 +47,9 @@ pub struct SimulatedAnnealing {
     mcs_per_run: usize,
     /// The solver's stream, tapped in blocks for the sweep noise. Each run
     /// resets the buffer, draws the initial state from the raw stream, then
-    /// consumes block-buffered noise — exactly the per-lane discipline of
-    /// [`crate::ReplicaBatch`], so a fresh single-run annealer is the serial
-    /// replay reference for a batch lane on the same seed.
+    /// consumes block-buffered noise — so a fresh single-run annealer on a
+    /// replica's derived seed *is* that replica of an
+    /// [`EnsembleAnnealer`](crate::EnsembleAnnealer).
     noise: NoiseSource,
     machine: Option<PbitMachine>,
     /// Preallocated best-state buffer: improvements are `copy_from_slice`
@@ -111,17 +112,16 @@ impl SimulatedAnnealing {
         self.dynamics
     }
 
-    /// Like [`IsingSolver::solve`], but polling `ctrl` at every sweep
-    /// boundary: the run can be cancelled, deadlined, or checkpointed
-    /// mid-anneal. With an idle controller the result is bit-identical to
-    /// `solve`.
+    /// Like [`IsingSolver::solve`] (which delegates here with an idle
+    /// controller), but polling `ctrl` at every sweep boundary: the run can
+    /// be cancelled, deadlined, or checkpointed mid-anneal.
     pub fn solve_controlled(
         &mut self,
         model: &IsingModel,
         ctrl: &RunController,
     ) -> Controlled<SaState> {
-        // run boundary, exactly as in `solve`: discard buffered noise, draw
-        // the initial state from the raw stream
+        // run boundary: discard buffered noise so the initial-state coin
+        // flips read the raw stream, then sweeps consume fresh blocks
         self.noise.reset();
         let machine =
             PbitMachine::obtain_randomized(&mut self.machine, model, self.noise.rng_mut());
@@ -221,42 +221,8 @@ impl SimulatedAnnealing {
 
 impl IsingSolver for SimulatedAnnealing {
     fn solve(&mut self, model: &IsingModel) -> SolveOutcome {
-        // run boundary: discard buffered noise so the initial-state coin
-        // flips read the raw stream, then sweeps consume fresh blocks
-        self.noise.reset();
-        let machine =
-            PbitMachine::obtain_randomized(&mut self.machine, model, self.noise.rng_mut());
-        let best = match &mut self.best_buf {
-            Some(b) if b.len() == model.len() => {
-                b.copy_from(machine.state());
-                b
-            }
-            _ => {
-                self.best_buf = Some(machine.state().clone());
-                self.best_buf.as_mut().expect("just set")
-            }
-        };
-        let mut best_energy = machine.energy();
-        for step in 0..self.mcs_per_run {
-            let beta = self.schedule.beta_at(step, self.mcs_per_run);
-            match self.dynamics {
-                Dynamics::Gibbs => machine.sweep_buffered(model, beta, &mut self.noise),
-                Dynamics::Metropolis => {
-                    machine.metropolis_sweep_buffered(model, beta, &mut self.noise)
-                }
-            };
-            if machine.energy() < best_energy {
-                best_energy = machine.energy();
-                best.copy_from(machine.state());
-            }
-        }
-        SolveOutcome {
-            last: machine.state().clone(),
-            last_energy: machine.energy(),
-            best: best.clone(),
-            best_energy,
-            mcs: self.mcs_per_run as u64,
-        }
+        self.solve_controlled(model, &RunController::unlimited())
+            .outcome
     }
 
     fn mcs_per_solve(&self, _n: usize) -> u64 {

@@ -925,6 +925,9 @@ fn check_solver_fields(value: &Value) -> Result<(), SchemaError> {
         Value::Object(fields) if fields.len() == 1 => {
             let (tag, inner) = &fields[0];
             match tag.as_str() {
+                // `batch_width` is the lane-group width of older builds'
+                // ensembles: accepted so their frames still parse, ignored
+                // by the config's deserializer, never re-encoded
                 "Ensemble" => check_known_fields(
                     inner,
                     &[
@@ -1285,7 +1288,6 @@ mod tests {
         SolverSpec::Ensemble(EnsembleConfig {
             replicas: 2,
             threads: 1,
-            batch_width: 0,
             schedule: BetaSchedule::linear(6.0),
             mcs_per_run: 40,
             dynamics: Dynamics::Gibbs,

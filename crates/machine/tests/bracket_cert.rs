@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 use saim_ising::QuboBuilder;
 use saim_machine::bracket::{gibbs_decision, tanh_bracket, KNEE, SERIES_CUT};
-use saim_machine::{derive_seed, new_rng, NoiseSource, PbitMachine, ReplicaBatch};
+use saim_machine::{derive_seed, new_rng, NoiseSource, PbitMachine};
 
 /// Asserts the bracket certificate at one point.
 fn assert_brackets(x: f64) {
@@ -191,29 +191,25 @@ proptest! {
         prop_assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>());
     }
 
-    /// The batched engine's lanes replay the exact oracle too (through the
-    /// serial equivalence): every lane of a width-4 batch matches an
-    /// oracle machine on the same stream at hot-regime temperatures.
+    /// Held-β machines replay the exact oracle too: four streams ramp
+    /// through the hot regime into a held β, where the settled-set list
+    /// engages, each matching an oracle twin on the same buffered stream.
     #[test]
-    fn batch_lanes_replay_exact_oracle(model in arb_model(), seed in 0u64..200) {
-        let seeds: Vec<u64> = (0..4).map(|r| derive_seed(seed, r)).collect();
-        let mut batch = ReplicaBatch::new(&model, &seeds);
-        let mut oracles: Vec<(PbitMachine, NoiseSource)> = seeds
-            .iter()
-            .map(|&s| {
-                let mut rng = new_rng(s);
+    fn held_beta_machines_replay_exact_oracle(model in arb_model(), seed in 0u64..200) {
+        for r in 0..4 {
+            let twin = || {
+                let mut rng = new_rng(derive_seed(seed, r));
                 let machine = PbitMachine::new(&model, &mut rng);
                 (machine, NoiseSource::new(rng))
-            })
-            .collect();
-        for sweep in 0..25 {
-            let beta = 0.35 * sweep as f64;
-            batch.sweep_uniform(&model, beta);
-            for (r, (machine, noise)) in oracles.iter_mut().enumerate() {
-                machine.sweep_exact_oracle_buffered(&model, beta, noise);
-                prop_assert_eq!(batch.state(r), machine.state().clone(), "lane {}", r);
-                prop_assert_eq!(batch.energy(r).to_bits(), machine.energy().to_bits());
-                prop_assert_eq!(batch.flips(r), machine.flips());
+            };
+            let ((mut machine, mut noise), (mut oracle, mut oracle_noise)) = (twin(), twin());
+            for sweep in 0..25 {
+                let beta = 0.35 * sweep.min(12) as f64;
+                machine.sweep_buffered(&model, beta, &mut noise);
+                oracle.sweep_exact_oracle_buffered(&model, beta, &mut oracle_noise);
+                prop_assert_eq!(machine.state(), oracle.state(), "stream {}", r);
+                prop_assert_eq!(machine.energy().to_bits(), oracle.energy().to_bits());
+                prop_assert_eq!(machine.flips(), oracle.flips());
             }
         }
     }

@@ -53,7 +53,6 @@ fn live_checkpoint() -> Checkpoint {
         SolverSpec::Ensemble(EnsembleConfig {
             replicas: 2,
             threads: 1,
-            batch_width: 0,
             schedule: BetaSchedule::linear(6.0),
             mcs_per_run: 40,
             dynamics: Dynamics::Gibbs,

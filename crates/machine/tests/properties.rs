@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use saim_ising::{BinaryState, QuboBuilder};
 use saim_machine::{
     derive_seed, new_rng, BetaSchedule, Dynamics, IsingSolver, NoiseSource, PbitMachine,
-    ReplicaBatch, SimulatedAnnealing,
+    SimulatedAnnealing,
 };
 
 /// A small random Ising model built from a QUBO.
@@ -28,7 +28,7 @@ fn arb_model() -> impl Strategy<Value = saim_ising::IsingModel> {
 }
 
 /// A small random Ising model that may be empty or a single spin — the
-/// degenerate shapes the batched engine must survive.
+/// degenerate shapes the sweep kernel and its settled list must survive.
 fn arb_model_with_edge_sizes() -> impl Strategy<Value = saim_ising::IsingModel> {
     (0usize..6).prop_flat_map(|n| {
         let pairs = if n >= 2 {
@@ -68,146 +68,119 @@ fn arb_csr_model() -> impl Strategy<Value = saim_ising::IsingModel> {
     })
 }
 
-/// Asserts the batch-width-invariance contract on `model`: lanes of an R=8
-/// batch, lanes of R=1 batches, and serial [`PbitMachine`] replays of the
-/// same streams produce identical trajectories and energies sweep by sweep.
-fn assert_batch_width_invariance(model: &saim_ising::IsingModel, seed: u64, sweeps: usize) {
-    let seeds: Vec<u64> = (0..8).map(|r| derive_seed(seed, r)).collect();
-    let mut wide = ReplicaBatch::new(model, &seeds);
-    let mut narrow: Vec<ReplicaBatch> = seeds
-        .iter()
-        .map(|&s| ReplicaBatch::new(model, &[s]))
-        .collect();
-    let mut serial: Vec<(PbitMachine, NoiseSource)> = seeds
-        .iter()
-        .map(|&s| {
-            let mut rng = new_rng(s);
-            let machine = PbitMachine::new(model, &mut rng);
-            (machine, NoiseSource::new(rng))
-        })
-        .collect();
-    for sweep in 0..sweeps {
-        let beta = 0.4 * sweep as f64;
-        wide.sweep_uniform(model, beta);
-        for (r, (solo, (machine, noise))) in narrow.iter_mut().zip(&mut serial).enumerate() {
-            solo.sweep_uniform(model, beta);
-            machine.sweep_buffered(model, beta, noise);
-            assert_eq!(wide.state(r), solo.state(0), "R=8 vs R=1, lane {r}");
-            assert_eq!(wide.state(r), *machine.state(), "R=8 vs serial, lane {r}");
-            assert_eq!(
-                wide.energy(r).to_bits(),
-                solo.energy(0).to_bits(),
-                "energy R=8 vs R=1, lane {r}"
+/// Oracle replay: for four derived streams, a [`PbitMachine`] and an
+/// exact-oracle twin on the same stream track each other sweep by sweep —
+/// states, energy bits, flip counts and changed counts — under the
+/// schedule `beta_at`. The oracle keeps no settled list, so held-β tails
+/// pin the machine's masked sweeps against it.
+fn assert_replays_exact_oracle(
+    model: &saim_ising::IsingModel,
+    seed: u64,
+    sweeps: usize,
+    beta_at: impl Fn(usize) -> f64,
+) {
+    let twin = |s: u64| {
+        let mut rng = new_rng(s);
+        let machine = PbitMachine::new(model, &mut rng);
+        (machine, NoiseSource::new(rng))
+    };
+    for r in 0..4 {
+        let s = derive_seed(seed, r);
+        let ((mut machine, mut noise), (mut oracle, mut oracle_noise)) = (twin(s), twin(s));
+        for sweep in 0..sweeps {
+            let beta = beta_at(sweep);
+            let changed = machine.sweep_buffered(model, beta, &mut noise);
+            let expected = oracle.sweep_exact_oracle_buffered(model, beta, &mut oracle_noise);
+            prop_assert_eq!(changed, expected, "stream {} sweep {}", r, sweep);
+            prop_assert_eq!(
+                machine.state(),
+                oracle.state(),
+                "stream {} sweep {}",
+                r,
+                sweep
             );
-            assert_eq!(
-                wide.energy(r).to_bits(),
-                machine.energy().to_bits(),
-                "energy R=8 vs serial, lane {r}"
-            );
+            prop_assert_eq!(machine.energy().to_bits(), oracle.energy().to_bits());
+            prop_assert_eq!(machine.flips(), oracle.flips());
         }
     }
 }
 
-/// Serial-oracle replay at one batch width: every lane of a width-`width`
-/// batch must track a serial [`PbitMachine`] fed the same stream, sweep by
-/// sweep, through an anneal ramp *and* a held deep quench — the held tail
-/// keeps β stable so the lane-major engine's settled-set fast path engages
-/// and its masked sweeps are pinned against the oracle too.
-fn assert_oracle_replay_at_width(model: &saim_ising::IsingModel, seed: u64, width: usize) {
-    let seeds: Vec<u64> = (0..width as u64).map(|r| derive_seed(seed, r)).collect();
-    let mut batch = ReplicaBatch::new(model, &seeds);
-    let mut serial: Vec<(PbitMachine, NoiseSource)> = seeds
-        .iter()
-        .map(|&s| {
-            let mut rng = new_rng(s);
-            let machine = PbitMachine::new(model, &mut rng);
-            (machine, NoiseSource::new(rng))
-        })
-        .collect();
-    for sweep in 0..30 {
-        let beta = if sweep < 10 { 0.6 * sweep as f64 } else { 40.0 };
-        batch.sweep_uniform(model, beta);
-        for (r, (machine, noise)) in serial.iter_mut().enumerate() {
-            machine.sweep_buffered(model, beta, noise);
-            assert_eq!(batch.state(r), *machine.state(), "lane {r} of {width}");
-            assert_eq!(
-                batch.energy(r).to_bits(),
-                machine.energy().to_bits(),
-                "energy, lane {r} of {width}"
-            );
-        }
+/// An anneal ramp into a held deep quench: the held tail keeps β stable so
+/// the settled-set list engages.
+fn ramp_then_hold(sweep: usize) -> f64 {
+    if sweep < 10 {
+        0.6 * sweep as f64
+    } else {
+        40.0
     }
 }
 
 proptest! {
-    /// Batch-width invariance on dense models, including n = 0 and n = 1:
-    /// R = 1, R = 8 and serial replay are trajectory-identical.
+    /// Annealing ramps replay the oracle on dense models, including n = 0
+    /// and n = 1.
     #[test]
-    fn batch_width_invariance_on_dense_models(
+    fn ramps_replay_the_oracle_on_dense_models(
         model in arb_model_with_edge_sizes(),
         seed in 0u64..500,
     ) {
-        assert_batch_width_invariance(&model, seed, 15);
+        assert_replays_exact_oracle(&model, seed, 15, |sweep| 0.4 * sweep as f64);
     }
 
-    /// Batch-width invariance on CSR-backed models.
+    /// Annealing ramps replay the oracle on CSR-backed models.
     #[test]
-    fn batch_width_invariance_on_csr_models(
+    fn ramps_replay_the_oracle_on_csr_models(
         model in arb_csr_model(),
         seed in 0u64..200,
     ) {
         prop_assume!(matches!(model.couplings(), saim_ising::Couplings::Sparse(_)));
-        assert_batch_width_invariance(&model, seed, 8);
+        assert_replays_exact_oracle(&model, seed, 8, |sweep| 0.4 * sweep as f64);
     }
 
-    /// Oracle replay at widths that are not a multiple of any SIMD/tile
-    /// width, on dense models including n = 0 and n = 1.
+    /// Held deep quenches — the settled list's regime — replay the oracle
+    /// on dense models, including n = 0 and n = 1.
     #[test]
-    fn odd_width_batches_replay_serial_on_dense_models(
+    fn held_quenches_replay_the_oracle_on_dense_models(
         model in arb_model_with_edge_sizes(),
         seed in 0u64..200,
-        width_idx in 0usize..4,
     ) {
-        let width = [3usize, 5, 7, 17][width_idx];
-        assert_oracle_replay_at_width(&model, seed, width);
+        assert_replays_exact_oracle(&model, seed, 30, ramp_then_hold);
     }
 
-    /// Oracle replay at odd widths on CSR-backed models.
+    /// Held deep quenches replay the oracle on CSR-backed models.
     #[test]
-    fn odd_width_batches_replay_serial_on_csr_models(
+    fn held_quenches_replay_the_oracle_on_csr_models(
         model in arb_csr_model(),
         seed in 0u64..100,
-        width_idx in 0usize..4,
     ) {
         prop_assume!(matches!(model.couplings(), saim_ising::Couplings::Sparse(_)));
-        let width = [3usize, 5, 7, 17][width_idx];
-        assert_oracle_replay_at_width(&model, seed, width);
+        assert_replays_exact_oracle(&model, seed, 30, ramp_then_hold);
     }
 
-    /// The batched Metropolis sweep replays the serial machine too.
+    /// Metropolis sweeps interleaved into a held Gibbs quench flip spins
+    /// without charging the settled list's budget; the machine must drop
+    /// the list and keep replaying a twin that takes the same Metropolis
+    /// sweeps and exact-oracle Gibbs sweeps.
     #[test]
-    fn batched_metropolis_replays_serial(
+    fn metropolis_interleaved_into_a_held_quench_replays_the_oracle(
         model in arb_model(),
         seed in 0u64..200,
     ) {
-        let seeds: Vec<u64> = (0..4).map(|r| derive_seed(seed, r)).collect();
-        let mut batch = ReplicaBatch::new(&model, &seeds);
-        let mut serial: Vec<(PbitMachine, NoiseSource)> = seeds
-            .iter()
-            .map(|&s| {
-                let mut rng = new_rng(s);
-                let machine = PbitMachine::new(&model, &mut rng);
-                (machine, NoiseSource::new(rng))
-            })
-            .collect();
-        for sweep in 0..12 {
-            let beta = 0.3 * sweep as f64;
-            batch.metropolis_sweep_uniform(&model, beta);
-            for (r, (machine, noise)) in serial.iter_mut().enumerate() {
-                machine.metropolis_sweep_buffered(&model, beta, noise);
-                prop_assert_eq!(batch.state(r), machine.state().clone(), "lane {}", r);
-                prop_assert_eq!(batch.energy(r).to_bits(), machine.energy().to_bits());
+        let mut rng = new_rng(seed);
+        let mut machine = PbitMachine::new(&model, &mut rng);
+        let mut noise = NoiseSource::new(rng);
+        let mut rng = new_rng(seed);
+        let mut oracle = PbitMachine::new(&model, &mut rng);
+        let mut oracle_noise = NoiseSource::new(rng);
+        for sweep in 0..40 {
+            if sweep % 7 == 6 {
+                machine.metropolis_sweep_buffered(&model, 0.5, &mut noise);
+                oracle.metropolis_sweep_buffered(&model, 0.5, &mut oracle_noise);
+            } else {
+                machine.sweep_buffered(&model, 12.0, &mut noise);
+                oracle.sweep_exact_oracle_buffered(&model, 12.0, &mut oracle_noise);
             }
+            prop_assert_eq!(machine.state(), oracle.state(), "sweep {}", sweep);
+            prop_assert_eq!(machine.energy().to_bits(), oracle.energy().to_bits());
         }
     }
 }

@@ -54,14 +54,13 @@ fn arb_solver() -> impl Strategy<Value = SolverSpec> {
         0usize..3,    // threads
         1usize..60,   // sweeps
         0.5..12.0f64, // beta_max
-        1usize..12,   // swap interval / batch width
+        1usize..12,   // swap interval
     )
         .prop_map(
             |(kind, replicas, threads, sweeps, beta_max, aux)| match kind {
                 0 => SolverSpec::Ensemble(EnsembleConfig {
                     replicas,
                     threads,
-                    batch_width: aux % 4,
                     schedule: BetaSchedule::linear(definite(beta_max)),
                     mcs_per_run: sweeps,
                     dynamics: if sweeps % 2 == 0 {
@@ -183,6 +182,32 @@ proptest! {
             Err(SchemaError::VersionMismatch { found: version, expected: SCHEMA_VERSION })
         );
     }
+}
+
+#[test]
+fn a_legacy_batch_width_key_parses_and_is_not_re_encoded() {
+    // ensembles of older builds carried the lane-group width of their
+    // batched sweep engine; their frames (and checkpoints embedding them)
+    // must still parse, and the key must not come back out
+    let spec = JobSpec::new(
+        4,
+        QuboBuilder::new(2).build(),
+        SolverSpec::Ensemble(EnsembleConfig {
+            replicas: 3,
+            threads: 1,
+            schedule: BetaSchedule::constant(8.0),
+            mcs_per_run: 90,
+            dynamics: Dynamics::Gibbs,
+        }),
+        31,
+    );
+    let current = spec.to_json();
+    let legacy = current.replacen("\"threads\":1,", "\"threads\":1,\"batch_width\":4,", 1);
+    assert_ne!(legacy, current, "the legacy key was spliced in");
+    let parsed = JobSpec::from_json(&legacy).expect("a legacy frame parses");
+    assert_eq!(parsed, spec);
+    assert_eq!(parsed.to_json(), current);
+    assert!(!parsed.to_json().contains("batch_width"));
 }
 
 #[test]

@@ -32,7 +32,6 @@ fn main() -> Result<(), Box<dyn Error>> {
     let solver = SolverSpec::Ensemble(EnsembleConfig {
         replicas: 4,
         threads: 1, // jobs are the unit of parallelism here
-        batch_width: 0,
         schedule: BetaSchedule::linear(10.0),
         mcs_per_run: 500,
         dynamics: Dynamics::Gibbs,

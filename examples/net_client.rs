@@ -51,7 +51,6 @@ fn main() -> Result<(), Box<dyn Error>> {
     let solver = SolverSpec::Ensemble(EnsembleConfig {
         replicas: 3,
         threads: 1,
-        batch_width: 0,
         schedule: BetaSchedule::linear(8.0),
         mcs_per_run: 300,
         dynamics: Dynamics::Gibbs,

@@ -85,7 +85,6 @@ fn sa_and_pt_find_the_same_ground_state_on_small_models() {
     let ens_cfg = EnsembleConfig {
         replicas: 4,
         threads: 1,
-        batch_width: 0,
         schedule: BetaSchedule::linear(12.0),
         mcs_per_run: 600,
         dynamics: Dynamics::Gibbs,

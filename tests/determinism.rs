@@ -199,7 +199,6 @@ fn ensemble_outcome_is_invariant_in_thread_count() {
     let config = |threads: usize| EnsembleConfig {
         replicas: 6,
         threads,
-        batch_width: 0,
         schedule: BetaSchedule::linear(10.0),
         mcs_per_run: 150,
         dynamics: Dynamics::Gibbs,
@@ -219,64 +218,28 @@ fn ensemble_outcome_is_invariant_in_thread_count() {
 }
 
 #[test]
-fn ensemble_outcome_is_invariant_in_batch_width() {
-    // the batched SoA sweep engine must leave every replica's trajectory
-    // untouched no matter how many lanes share a batch — R runs grouped
-    // 1-wide, 3-wide, 8-wide or 16-wide read bit-identically
-    let inst = generate::qkp(22, 0.5, 33).expect("valid");
-    let enc = inst.encode().expect("encodes");
-    let model = saim_core::penalty_qubo(&enc, enc.penalty_for_alpha(2.0))
-        .expect("valid penalty")
-        .to_ising();
-    let config = |batch_width: usize| EnsembleConfig {
-        replicas: 6,
-        threads: 1,
-        batch_width,
-        schedule: BetaSchedule::linear(8.0),
-        mcs_per_run: 120,
-        dynamics: Dynamics::Gibbs,
-    };
-    let reference = EnsembleAnnealer::new(config(1), 55).solve_ensemble(&model);
-    for batch_width in [2, 3, 8, 16, 0] {
-        let got = EnsembleAnnealer::new(config(batch_width), 55).solve_ensemble(&model);
-        assert_eq!(got, reference, "batch_width = {batch_width}");
-    }
-    // and the width-1 path is still the serial SimulatedAnnealing replay
-    for r in &reference.replicas {
-        let serial = SimulatedAnnealing::new(BetaSchedule::linear(8.0), 120, r.seed).solve(&model);
-        assert_eq!(r.outcome, serial, "replica {}", r.replica);
-    }
-}
-
-#[test]
-fn hot_regime_engines_are_invariant_in_thread_count_and_width() {
+fn hot_regime_engines_are_invariant_in_thread_count() {
     // β ∈ {2, 4, 8}: the hot regime the bracket decision kernel
     // accelerates — exactly what the deep-quench schedules above never
-    // exercise. Constant-β ensembles at every batch width and thread
-    // count, plus the serial SimulatedAnnealing replica replay, must stay
-    // bit-identical.
+    // exercise. Constant-β ensembles at every thread count, plus the
+    // serial SimulatedAnnealing replica replay, must stay bit-identical.
     let inst = generate::qkp(24, 0.5, 61).expect("valid");
     let enc = inst.encode().expect("encodes");
     let model = saim_core::penalty_qubo(&enc, enc.penalty_for_alpha(2.0))
         .expect("valid penalty")
         .to_ising();
     for beta in [2.0, 4.0, 8.0] {
-        let config = |threads: usize, batch_width: usize| EnsembleConfig {
+        let config = |threads: usize| EnsembleConfig {
             replicas: 5,
             threads,
-            batch_width,
             schedule: BetaSchedule::constant(beta),
             mcs_per_run: 120,
             dynamics: Dynamics::Gibbs,
         };
-        let reference = EnsembleAnnealer::new(config(1, 1), 19).solve_ensemble(&model);
-        for (threads, batch_width) in [(2, 0), (8, 8), (0, 2), (1, 16)] {
-            let got =
-                EnsembleAnnealer::new(config(threads, batch_width), 19).solve_ensemble(&model);
-            assert_eq!(
-                got, reference,
-                "beta = {beta}, threads = {threads}, width = {batch_width}"
-            );
+        let reference = EnsembleAnnealer::new(config(1), 19).solve_ensemble(&model);
+        for threads in [2, 8, 0] {
+            let got = EnsembleAnnealer::new(config(threads), 19).solve_ensemble(&model);
+            assert_eq!(got, reference, "beta = {beta}, threads = {threads}");
         }
         for r in &reference.replicas {
             let serial =
@@ -327,7 +290,6 @@ fn engines_are_invariant_at_env_selected_thread_count() {
     let ens_config = |threads: usize| EnsembleConfig {
         replicas: 5,
         threads,
-        batch_width: 0,
         schedule: BetaSchedule::linear(9.0),
         mcs_per_run: 80,
         dynamics: Dynamics::Gibbs,
@@ -357,7 +319,6 @@ fn engines_are_invariant_at_env_selected_thread_count() {
     let hot_ens = |threads: usize| EnsembleConfig {
         replicas: 5,
         threads,
-        batch_width: 0,
         schedule: BetaSchedule::constant(4.0),
         mcs_per_run: 80,
         dynamics: Dynamics::Gibbs,
@@ -381,26 +342,22 @@ fn engines_are_invariant_at_env_selected_thread_count() {
         "hot PT at {threads} threads"
     );
 
-    // batch legs in the same env-selected matrix: the lane-major batched
-    // sweep at widths 2 and 16 must reproduce the width-1 serial-shaped
-    // replay at this thread count, on an anneal ramp and a hot hold alike
+    // ensemble legs in the same env-selected matrix: this thread count
+    // must reproduce the one-thread replay, on an anneal ramp and a hot
+    // hold alike
     for schedule in [BetaSchedule::linear(9.0), BetaSchedule::constant(4.0)] {
-        let batch_ens = |threads: usize, batch_width: usize| EnsembleConfig {
+        let ens = |threads: usize| EnsembleConfig {
             replicas: 5,
             threads,
-            batch_width,
             schedule,
             mcs_per_run: 80,
             dynamics: Dynamics::Gibbs,
         };
-        let reference = EnsembleAnnealer::new(batch_ens(1, 1), 37).solve_ensemble(&model);
-        for batch_width in [2, 16] {
-            assert_eq!(
-                EnsembleAnnealer::new(batch_ens(threads, batch_width), 37).solve_ensemble(&model),
-                reference,
-                "batch width {batch_width} at {threads} threads, {schedule:?}"
-            );
-        }
+        assert_eq!(
+            EnsembleAnnealer::new(ens(threads), 37).solve_ensemble(&model),
+            EnsembleAnnealer::new(ens(1), 37).solve_ensemble(&model),
+            "{threads} threads, {schedule:?}"
+        );
     }
 }
 
@@ -420,7 +377,6 @@ fn saim_ensemble_path_is_invariant_in_thread_count() {
         let ensemble = EnsembleConfig {
             replicas: 4,
             threads,
-            batch_width: 0,
             schedule: BetaSchedule::linear(10.0),
             mcs_per_run: 100,
             dynamics: Dynamics::Gibbs,

@@ -2,11 +2,10 @@
 //! round) and resumed from its checkpoint must finish bit-identically to a
 //! run that was never interrupted — the property that makes the job
 //! service's graceful drain safe to use at all. Covers every engine, hot
-//! (β ∈ {2, 8}) and deep-quench schedule legs, batch widths 1/4/8, the
-//! CI-matrix-selected worker count (`SAIM_DETERMINISM_THREADS` = 1/2/8),
-//! the on-disk checkpoint round trip at every width, and a fixture
-//! checkpoint written by the old spin-major batch build restoring under
-//! the lane-major layout.
+//! (β ∈ {2, 8}) and deep-quench schedule legs, the CI-matrix-selected
+//! worker count (`SAIM_DETERMINISM_THREADS` = 1/2/8), the on-disk
+//! checkpoint round trip, and a fixture checkpoint written by the old
+//! spin-major batch build restoring as per-replica serial runs.
 
 use proptest::prelude::*;
 use saim_core::ConstrainedProblem;
@@ -111,39 +110,31 @@ proptest! {
 }
 
 #[test]
-fn ensemble_resumes_bit_identically_across_widths_and_legs() {
-    // every (schedule leg × batch width × interrupt point) cell must land
-    // on the same reduced outcome as the uninterrupted run — lane grouping
-    // is fixed by the checkpoint, so the width only shapes the interrupt
+fn ensemble_resumes_bit_identically_across_legs() {
+    // every (schedule leg × interrupt point) cell must land on the same
+    // reduced outcome as the uninterrupted run
     let model = qkp_model(20, 41);
     let threads = env_threads();
     for schedule in legs() {
-        for batch_width in [1usize, 4, 8] {
-            let config = EnsembleConfig {
-                replicas: 5,
-                threads,
-                batch_width,
-                schedule,
-                mcs_per_run: 120,
-                dynamics: Dynamics::Gibbs,
-            };
-            let oracle = EnsembleAnnealer::new(config, 13).solve(&model);
-            for stop in [1u64, 37, 90, 119] {
-                let cut =
-                    EnsembleAnnealer::new(config, 13).solve_controlled(&model, &interrupt_at(stop));
-                assert_eq!(
-                    cut.status,
-                    OutcomeKind::Checkpointed,
-                    "width {batch_width}, stop {stop}"
-                );
-                let state = cut.state.expect("a checkpointed run carries its state");
+        let config = EnsembleConfig {
+            replicas: 5,
+            threads,
+            schedule,
+            mcs_per_run: 120,
+            dynamics: Dynamics::Gibbs,
+        };
+        let oracle = EnsembleAnnealer::new(config, 13).solve(&model);
+        for stop in [1u64, 37, 90, 119] {
+            let cut =
+                EnsembleAnnealer::new(config, 13).solve_controlled(&model, &interrupt_at(stop));
+            assert_eq!(cut.status, OutcomeKind::Checkpointed, "stop {stop}");
+            let state = cut.state.expect("a checkpointed run carries its state");
 
-                let resumed = EnsembleAnnealer::new(config, 13)
-                    .resume_controlled(&model, &state, &RunController::unlimited())
-                    .expect("the state fits the ensemble it came from");
-                assert_eq!(resumed.status, OutcomeKind::Completed);
-                assert_eq!(resumed.outcome, oracle, "width {batch_width}, stop {stop}");
-            }
+            let resumed = EnsembleAnnealer::new(config, 13)
+                .resume_controlled(&model, &state, &RunController::unlimited())
+                .expect("the state fits the ensemble it came from");
+            assert_eq!(resumed.status, OutcomeKind::Completed);
+            assert_eq!(resumed.outcome, oracle, "stop {stop}");
         }
     }
 }
@@ -151,13 +142,13 @@ fn ensemble_resumes_bit_identically_across_widths_and_legs() {
 #[test]
 fn ensemble_checkpoints_resume_at_any_worker_count() {
     // a checkpoint taken under one thread count must finish identically
-    // under 1, 2, and 8 resuming workers — group membership travels in the
-    // state image, so the pool only changes which thread finishes which lane
+    // under 1, 2, and 8 resuming workers — every replica's stream travels
+    // in the state image, so the pool only changes which thread finishes
+    // which replica
     let model = qkp_model(20, 52);
     let config = |threads: usize| EnsembleConfig {
         replicas: 6,
         threads,
-        batch_width: 4,
         schedule: BetaSchedule::constant(8.0),
         mcs_per_run: 100,
         dynamics: Dynamics::Gibbs,
@@ -243,8 +234,7 @@ fn chained_interrupts_still_replay_the_uninterrupted_run() {
 fn a_checkpoint_file_resumes_bit_identically_after_the_disk_round_trip() {
     // the full production path: interrupt a spec'd job, persist the
     // checkpoint, load it back, and resume from the *file* — the completed
-    // outcome must be canonical-equal to a never-interrupted `run()`, at
-    // every batch width the lane-major engine groups replicas into
+    // outcome must be canonical-equal to a never-interrupted `run()`
     let dir = std::env::temp_dir().join(format!("saim-resume-determinism-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("scratch dir is creatable");
@@ -252,44 +242,37 @@ fn a_checkpoint_file_resumes_bit_identically_after_the_disk_round_trip() {
     let inst = generate::qkp(20, 0.5, 7).expect("valid parameters");
     let enc = inst.encode().expect("encodes");
     let qubo = saim_core::penalty_qubo(&enc, enc.penalty_for_alpha(2.0)).expect("valid penalty");
-    for (job, batch_width) in [(0u64, 1usize), (1, 4), (2, 8)] {
-        let spec = JobSpec::new(
-            job,
-            qubo.clone(),
-            SolverSpec::Ensemble(EnsembleConfig {
-                replicas: 4,
-                threads: env_threads(),
-                batch_width,
-                schedule: BetaSchedule::constant(8.0),
-                mcs_per_run: 90,
-                dynamics: Dynamics::Gibbs,
-            }),
-            31,
-        )
-        .with_instance_digest(inst.digest());
-        let oracle = spec.run();
+    let spec = JobSpec::new(
+        0,
+        qubo,
+        SolverSpec::Ensemble(EnsembleConfig {
+            replicas: 4,
+            threads: env_threads(),
+            schedule: BetaSchedule::constant(8.0),
+            mcs_per_run: 90,
+            dynamics: Dynamics::Gibbs,
+        }),
+        31,
+    )
+    .with_instance_digest(inst.digest());
+    let oracle = spec.run();
 
-        let cut = spec.run_controlled(&interrupt_at(40));
-        assert_eq!(cut.outcome.outcome_kind, OutcomeKind::Checkpointed);
-        let checkpoint = *cut
-            .checkpoint
-            .expect("the interrupted run carries a checkpoint");
-        let path: PathBuf = dir.join(format!("job-{job:06}.ckpt"));
-        checkpoint.save(&path).expect("saves");
+    let cut = spec.run_controlled(&interrupt_at(40));
+    assert_eq!(cut.outcome.outcome_kind, OutcomeKind::Checkpointed);
+    let checkpoint = *cut
+        .checkpoint
+        .expect("the interrupted run carries a checkpoint");
+    let path: PathBuf = dir.join("job-000000.ckpt");
+    checkpoint.save(&path).expect("saves");
 
-        let loaded = Checkpoint::load(&path).expect("an untouched file loads");
-        assert_eq!(loaded, checkpoint);
-        let resumed = loaded
-            .spec
-            .resume_controlled(&loaded.engine, &RunController::unlimited())
-            .expect("the checkpoint fits its embedded spec");
-        assert_eq!(resumed.outcome.outcome_kind, OutcomeKind::Completed);
-        assert_eq!(
-            resumed.outcome.canonical(),
-            oracle.canonical(),
-            "batch width {batch_width}"
-        );
-    }
+    let loaded = Checkpoint::load(&path).expect("an untouched file loads");
+    assert_eq!(loaded, checkpoint);
+    let resumed = loaded
+        .spec
+        .resume_controlled(&loaded.engine, &RunController::unlimited())
+        .expect("the checkpoint fits its embedded spec");
+    assert_eq!(resumed.outcome.outcome_kind, OutcomeKind::Completed);
+    assert_eq!(resumed.outcome.canonical(), oracle.canonical());
 
     let _ = std::fs::remove_dir_all(&dir);
 }

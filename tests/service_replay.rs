@@ -25,7 +25,6 @@ fn solver_kinds() -> [SolverSpec; 3] {
         SolverSpec::Ensemble(EnsembleConfig {
             replicas: 3,
             threads: 0,
-            batch_width: 0,
             schedule: BetaSchedule::linear(9.0),
             mcs_per_run: 80,
             dynamics: Dynamics::Gibbs,
@@ -165,7 +164,6 @@ fn hot_solver_kinds() -> [SolverSpec; 3] {
         SolverSpec::Ensemble(EnsembleConfig {
             replicas: 3,
             threads: 0,
-            batch_width: 0,
             schedule: BetaSchedule::constant(4.0),
             mcs_per_run: 70,
             dynamics: Dynamics::Gibbs,
@@ -283,7 +281,6 @@ fn run_jobs_replays_direct_saim_runs_for_any_worker_count() {
     let solver = SolverSpec::Ensemble(EnsembleConfig {
         replicas: 3,
         threads: 1,
-        batch_width: 0,
         schedule: BetaSchedule::linear(10.0),
         mcs_per_run: 90,
         dynamics: Dynamics::Gibbs,
