@@ -129,7 +129,7 @@
 pub mod journal;
 
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::io::{BufReader, Write};
+use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::{mpsc, Arc, Mutex};
@@ -138,8 +138,8 @@ use std::time::{Duration, Instant};
 use crate::checkpoint::{digest64, CheckpointError, OutcomeKind};
 use crate::frontend::faults::BackendFaultPlan;
 use crate::frontend::{
-    read_line_capped, ClientHandle, DrainReport, FrameError, Frontend, FrontendConfig,
-    NdjsonClient, ReadError, Request, Response,
+    read_line_capped, submit_line, write_frame, ClientHandle, DrainReport, FrameError, Frontend,
+    FrontendConfig, NdjsonClient, ReadError, Request, Response,
 };
 use crate::service::{JobOutcome, JobSpec, SolverSpec};
 use crate::telemetry::{ClientStats, HedgeStats};
@@ -171,6 +171,24 @@ pub trait BackendLink: Send {
     /// [`LinkError`] when the transport is dead; the pump treats this as
     /// the backend crashing.
     fn send(&mut self, request: &Request) -> Result<(), LinkError>;
+
+    /// Sends one already-encoded request line (no trailing newline),
+    /// byte-identical to [`Request::to_line`] of the frame it carries. The
+    /// router sends each job's first Submit this way, framed around the
+    /// spec text it journaled, so the model is encoded once per job.
+    ///
+    /// The provided implementation parses the line and calls
+    /// [`BackendLink::send`]; a socket transport overrides it to write the
+    /// bytes as they are.
+    ///
+    /// # Errors
+    ///
+    /// [`LinkError`] when the transport is dead, or when `line` is not a
+    /// request frame.
+    fn send_line(&mut self, line: &str) -> Result<(), LinkError> {
+        let request = Request::from_line(line).map_err(|e| LinkError(e.to_string()))?;
+        self.send(&request)
+    }
 
     /// Waits up to `timeout` for the next response frame. `Ok(None)` means
     /// the link is quiet, not dead.
@@ -248,6 +266,12 @@ impl BackendLink for TcpLink {
     fn send(&mut self, request: &Request) -> Result<(), LinkError> {
         self.client
             .send(request)
+            .map_err(|e| LinkError(e.to_string()))
+    }
+
+    fn send_line(&mut self, line: &str) -> Result<(), LinkError> {
+        self.client
+            .send_line(line)
             .map_err(|e| LinkError(e.to_string()))
     }
 
@@ -339,6 +363,13 @@ impl BackendLink for FaultyLink {
         // a partitioned backend still receives and computes; only its
         // responses are invisible
         self.inner.send(request)
+    }
+
+    fn send_line(&mut self, line: &str) -> Result<(), LinkError> {
+        if self.plan.is_killed(self.backend) {
+            return Err(LinkError(format!("backend {} scripted dead", self.backend)));
+        }
+        self.inner.send_line(line)
     }
 
     fn poll(&mut self, timeout: Duration) -> Result<Option<Response>, LinkError> {
@@ -564,10 +595,21 @@ impl ClusterConfig {
 // ------------------------------------------------------------------ core
 
 /// One client-owed job's bookkeeping, keyed by its router-global gid.
+///
+/// Settlement drops the record's model (`spec` and `spec_json`): what
+/// outlives it — `settled`, `settled_digest` and the ids — is all that
+/// dedup, cancel, stats and the mismatch alarm read, so a long-running
+/// router does not hold every model it ever routed.
 struct JobRecord {
     client: u64,
     client_job: u64,
-    spec: JobSpec,
+    /// The gid-stamped spec; `None` once settled.
+    spec: Option<JobSpec>,
+    /// `spec`'s JSON as the journal's `routed` record wrote it, kept until
+    /// the job's first dispatch frames it into the backend Submit line.
+    /// Without a journal the first dispatch encodes `spec`, as reroutes
+    /// and hedges always do.
+    spec_json: Option<String>,
     priority: u8,
     deadline_ms: Option<u64>,
     settled: bool,
@@ -587,7 +629,8 @@ impl JobRecord {
         JobRecord {
             client,
             client_job,
-            spec,
+            spec: Some(spec),
+            spec_json: None,
             priority,
             deadline_ms: None,
             settled: false,
@@ -596,6 +639,13 @@ impl JobRecord {
             hedge_backends: Vec::new(),
             settled_digest: None,
         }
+    }
+
+    /// The spec of a live (unsettled) record.
+    fn live_spec(&self) -> &JobSpec {
+        self.spec
+            .as_ref()
+            .expect("only settlement drops a record's spec")
     }
 }
 
@@ -844,15 +894,14 @@ impl RouterCore {
         let client_job = spec.job;
         let mut spec = spec;
         spec.job = gid;
+        let mut spec_json = None;
         if let Some(journal) = &mut state.journal {
             // write-ahead: the intent must be durable before the job is
-            // owned; a journal that cannot record it sheds instead
-            let record = JournalRecord::Routed {
-                gid,
-                client_job,
-                spec: spec.clone(),
-            };
-            if journal.append(&record).is_err() {
+            // owned; a journal that cannot record it sheds instead. This is
+            // the job's one encode of its model: the first dispatch frames
+            // the same text into the backend Submit
+            let json = spec.to_json();
+            if journal.append_routed(gid, client_job, &json).is_err() {
                 state.fleet.rejected += 1;
                 if let Some(slot) = state.clients.get_mut(&client) {
                     slot.stats.rejected += 1;
@@ -866,11 +915,13 @@ impl RouterCore {
                 );
                 return;
             }
+            spec_json = Some(json);
         }
         state.jobs.insert(
             gid,
             JobRecord {
                 deadline_ms,
+                spec_json,
                 ..JobRecord::new(client, client_job, spec, priority)
             },
         );
@@ -922,7 +973,7 @@ impl RouterCore {
         let parked = state.parked.contains(&gid);
         let queued = state.backends.iter().any(|slot| slot.queued.contains(&gid));
         if parked || queued {
-            let outcome = JobOutcome::expired(&state.jobs[&gid].spec)
+            let outcome = JobOutcome::expired(state.jobs[&gid].live_spec())
                 .with_outcome_kind(OutcomeKind::Cancelled);
             self.settle(state, None, gid, Settlement::Outcome(outcome));
             return;
@@ -1053,7 +1104,7 @@ impl RouterCore {
         if record.settled {
             return;
         }
-        let key = shard_key(&record.spec);
+        let key = shard_key(record.live_spec());
         let candidates = self.eligible(state, now, exclude);
         match rendezvous_choice(key, &candidates) {
             Some(b) => self.placed_on(state, gid, b, now),
@@ -1070,7 +1121,7 @@ impl RouterCore {
             if !live {
                 continue;
             }
-            let key = shard_key(&state.jobs[&gid].spec);
+            let key = shard_key(state.jobs[&gid].live_spec());
             let candidates = self.eligible(state, now, None);
             match rendezvous_choice(key, &candidates) {
                 Some(b) => self.placed_on(state, gid, b, now),
@@ -1134,7 +1185,7 @@ impl RouterCore {
                 continue;
             }
             let holders = Self::holders_of(state, gid);
-            let key = shard_key(&state.jobs[&gid].spec);
+            let key = shard_key(state.jobs[&gid].live_spec());
             let candidates: Vec<usize> = self
                 .eligible(state, now, None)
                 .into_iter()
@@ -1213,18 +1264,22 @@ impl RouterCore {
 
     // -------------------------------------------------------- pump hooks
 
-    /// The requests pump `gen` of backend `b` should send now: queued
+    /// The frames pump `gen` of backend `b` should send now: queued
     /// cancels first, then a due health probe, then — half-open only — the
     /// breaker's probe job, then at most one serialized submit. `None`
     /// tells a superseded or shutting-down pump to exit.
-    fn take_outgoing(self: &Arc<Self>, b: usize, gen: u64) -> Option<Vec<Request>> {
+    fn take_outgoing(self: &Arc<Self>, b: usize, gen: u64) -> Option<Vec<Outgoing>> {
         let mut guard = self.state.lock().expect("router lock is never poisoned");
         let state = &mut *guard;
         if state.shutting_down || state.backends[b].generation != gen {
             return None;
         }
         let now = self.now_ms();
-        let mut out: Vec<Request> = state.backends[b].control.drain(..).collect();
+        let mut out: Vec<Outgoing> = state.backends[b]
+            .control
+            .drain(..)
+            .map(Outgoing::Frame)
+            .collect();
         let probe_due = state.backends[b].last_probe == 0
             || now
                 >= state.backends[b]
@@ -1243,7 +1298,7 @@ impl RouterCore {
             // per pump iteration instead of per probe interval
             state.backends[b].last_probe = now.max(1);
             state.backends[b].probe_outstanding = true;
-            out.push(Request::Stats);
+            out.push(Outgoing::Frame(Request::Stats));
         }
         if state.health.state(b) == BackendState::HalfOpen && state.backends[b].want_probe_job {
             let gid = state.next_gid;
@@ -1261,12 +1316,19 @@ impl RouterCore {
         self.fire_due_hedges(state, now);
         if state.backends[b].awaiting.is_none() && now >= state.backends[b].backoff_until {
             while let Some(gid) = state.backends[b].queued.pop_front() {
-                match state.jobs.get(&gid) {
+                match state.jobs.get_mut(&gid) {
                     Some(record) if !record.settled => {
-                        out.push(Request::Submit {
-                            spec: record.spec.clone(),
-                            priority: record.priority,
-                            deadline_ms: record.deadline_ms,
+                        out.push(match record.spec_json.take() {
+                            Some(spec_json) => Outgoing::Submit {
+                                spec_json,
+                                priority: record.priority,
+                                deadline_ms: record.deadline_ms,
+                            },
+                            None => Outgoing::Frame(Request::Submit {
+                                spec: record.live_spec().clone(),
+                                priority: record.priority,
+                                deadline_ms: record.deadline_ms,
+                            }),
                         });
                         state.backends[b].awaiting = Some(gid);
                         break;
@@ -1448,6 +1510,8 @@ impl RouterCore {
         state.pending_hedges.remove(&gid);
         let record = state.jobs.get_mut(&gid).expect("liveness checked above");
         record.settled = true;
+        record.spec = None;
+        record.spec_json = None;
         let client = record.client;
         let client_job = record.client_job;
         let probe = record.probe;
@@ -1549,6 +1613,20 @@ impl RouterCore {
     }
 }
 
+/// One frame a pump ships to its backend.
+enum Outgoing {
+    /// A typed request, encoded by the link.
+    Frame(Request),
+    /// A job's first Submit, framed around the spec text the journal
+    /// already wrote; byte-identical to [`Request::to_line`] of the typed
+    /// Submit.
+    Submit {
+        spec_json: String,
+        priority: u8,
+        deadline_ms: Option<u64>,
+    },
+}
+
 /// One backend's pump: ships outgoing frames, polls for responses, and
 /// reports a transport death exactly once. Exits when superseded by a
 /// fresh link or when the cluster shuts down.
@@ -1557,8 +1635,16 @@ fn pump(core: Arc<RouterCore>, b: usize, gen: u64, mut link: Box<dyn BackendLink
         let Some(outgoing) = core.take_outgoing(b, gen) else {
             return;
         };
-        for request in outgoing {
-            if link.send(&request).is_err() {
+        for frame in outgoing {
+            let sent = match frame {
+                Outgoing::Frame(request) => link.send(&request),
+                Outgoing::Submit {
+                    spec_json,
+                    priority,
+                    deadline_ms,
+                } => link.send_line(&submit_line(&spec_json, priority, deadline_ms)),
+            };
+            if sent.is_err() {
                 core.backend_fatal(b, gen);
                 return;
             }
@@ -1928,14 +2014,9 @@ fn client_connection(core: Arc<RouterCore>, stream: TcpStream) {
     let (tx, rx) = mpsc::channel::<Response>();
     let client = core.register_client(tx);
     let writer = std::thread::spawn(move || {
-        let mut out = std::io::BufWriter::new(write_half);
+        let mut out = write_half;
         while let Ok(response) = rx.recv() {
-            if out
-                .write_all(response.to_line().as_bytes())
-                .and_then(|()| out.write_all(b"\n"))
-                .and_then(|()| out.flush())
-                .is_err()
-            {
+            if write_frame(&mut out, response.to_line().as_bytes()).is_err() {
                 return;
             }
         }
@@ -2131,6 +2212,168 @@ mod tests {
             }
         }
         assert_eq!(rendezvous_choice(7, &[]), None);
+    }
+
+    /// A backend the test plays by hand: it answers every health probe,
+    /// records each request line the pump sends (and whether it came
+    /// through `send_line`), and delivers the responses the test injects.
+    struct ScriptedLink {
+        sent: Arc<Mutex<Vec<(bool, String)>>>,
+        inject: mpsc::Receiver<Response>,
+        replies: VecDeque<Response>,
+    }
+
+    impl BackendLink for ScriptedLink {
+        fn send(&mut self, request: &Request) -> Result<(), LinkError> {
+            if *request == Request::Stats {
+                self.replies.push_back(Response::Stats {
+                    client: ClientStats::default(),
+                    fleet: ClientStats::default(),
+                    queue_depth: 0,
+                    eta_ms: 0,
+                });
+            } else {
+                let mut sent = self.sent.lock().unwrap();
+                sent.push((false, request.to_line()));
+            }
+            Ok(())
+        }
+
+        fn send_line(&mut self, line: &str) -> Result<(), LinkError> {
+            self.sent.lock().unwrap().push((true, line.to_string()));
+            Ok(())
+        }
+
+        fn poll(&mut self, timeout: Duration) -> Result<Option<Response>, LinkError> {
+            if let Some(reply) = self.replies.pop_front() {
+                return Ok(Some(reply));
+            }
+            Ok(self.inject.recv_timeout(timeout).ok())
+        }
+    }
+
+    fn wait_for<T>(what: &str, mut probe: impl FnMut() -> Option<T>) -> T {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        loop {
+            if let Some(found) = probe() {
+                return found;
+            }
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+
+    #[test]
+    fn routed_jobs_are_encoded_once_and_settled_records_drop_their_model() {
+        let path = std::env::temp_dir().join(format!(
+            "saim-cluster-unit-encode-once-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        let sent = Arc::new(Mutex::new(Vec::new()));
+        let (inject, rx) = mpsc::channel();
+        let link = ScriptedLink {
+            sent: Arc::clone(&sent),
+            inject: rx,
+            replies: VecDeque::new(),
+        };
+        let config = ClusterConfig {
+            journal: Some(path.clone()),
+            ..ClusterConfig::default()
+        };
+        let (cluster, _recovery) = Cluster::start(config, vec![Box::new(link)]).expect("journal");
+        let handle = cluster.connect();
+        handle.submit(toy_spec(5, 77), 3, Some(60_000));
+        let submit_sent = |k: usize| {
+            let sent = Arc::clone(&sent);
+            wait_for("a submit", move || sent.lock().unwrap().get(k).cloned())
+        };
+
+        // the first dispatch frames the journaled spec text, byte-identical
+        // to the typed frame
+        let (via_line, line) = submit_sent(0);
+        assert!(via_line, "the first submit must reuse the journaled text");
+        let Ok(Request::Submit { spec: routed, .. }) = Request::from_line(&line) else {
+            panic!("not a submit: {line}");
+        };
+        let gid = routed.job;
+        let typed = Request::Submit {
+            spec: routed.clone(),
+            priority: 3,
+            deadline_ms: Some(60_000),
+        };
+        assert_eq!(line, typed.to_line());
+        let journal = std::fs::read_to_string(&path).expect("journal");
+        let record = format!(
+            r#"{{"record":"routed","gid":{gid},"client_job":5,"spec":{}}}"#,
+            routed.to_json()
+        );
+        assert!(
+            journal
+                .lines()
+                .any(|l| l.split('\t').next() == Some(record.as_str())),
+            "journal lacks the routed record"
+        );
+
+        // a shed submit is rerouted and re-encoded from the typed spec
+        inject
+            .send(Response::Overloaded { retry_after_ms: 1 })
+            .unwrap();
+        assert_eq!(submit_sent(1), (false, typed.to_line()));
+
+        inject.send(Response::Accepted { job: gid }).unwrap();
+        let outcome = routed.run();
+        inject
+            .send(Response::Outcome {
+                outcome: outcome.clone(),
+            })
+            .unwrap();
+        let delivered = wait_for("the outcome", || match handle.try_recv() {
+            Some(Response::Outcome { outcome }) => Some(outcome),
+            _ => None,
+        });
+        assert_eq!(delivered.job, 5);
+        {
+            let state = cluster.core.state.lock().unwrap();
+            let record = &state.jobs[&gid];
+            assert!(record.settled);
+            assert!(record.spec.is_none(), "a settled record keeps its model");
+            assert!(
+                record.spec_json.is_none(),
+                "a settled record keeps its text"
+            );
+            assert!(record.settled_digest.is_some());
+        }
+
+        // a late duplicate still dedups, and a diverging one still alarms
+        inject
+            .send(Response::Outcome {
+                outcome: outcome.clone(),
+            })
+            .unwrap();
+        wait_for("the duplicate drop", || {
+            (cluster.stats().duplicates_dropped == 1).then_some(())
+        });
+        assert_eq!(cluster.stats().outcome_mismatches, 0);
+        let mut wrong = outcome;
+        wrong.best_energy += 1.0;
+        inject.send(Response::Outcome { outcome: wrong }).unwrap();
+        wait_for("the second drop", || {
+            (cluster.stats().duplicates_dropped == 2).then_some(())
+        });
+        assert_eq!(cluster.stats().outcome_mismatches, 1);
+
+        // and a cancel of the settled job names no live job
+        handle.send(Request::Cancel { job: 5 });
+        let rejected = wait_for("the cancel answer", || handle.try_recv());
+        assert!(
+            matches!(&rejected, Response::Rejected { code, .. } if code == "unknown_job"),
+            "{rejected:?}"
+        );
+        let report = cluster.shutdown();
+        assert_eq!(report.fleet.completed, 1);
+        assert_eq!(report.unsettled, 0);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

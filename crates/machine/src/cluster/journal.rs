@@ -116,12 +116,7 @@ impl JournalRecord {
                 gid,
                 client_job,
                 spec,
-            } => {
-                fields.push(("record".into(), Value::Str("routed".into())));
-                fields.push(("gid".into(), gid.to_value()));
-                fields.push(("client_job".into(), client_job.to_value()));
-                fields.push(("spec".into(), spec.to_value()));
-            }
+            } => return routed_json(*gid, *client_job, &spec.to_json()),
             JournalRecord::Accepted { gid, backend } => {
                 fields.push(("record".into(), Value::Str("accepted".into())));
                 fields.push(("gid".into(), gid.to_value()));
@@ -374,8 +369,29 @@ impl Journal {
     ///
     /// [`JournalError::Io`] when the append or flush fails.
     pub fn append(&mut self, record: &JournalRecord) -> Result<(), JournalError> {
-        let mut line = String::new();
-        push_line(&mut line, &record.to_json());
+        self.append_json(&record.to_json())
+    }
+
+    /// Appends a [`JournalRecord::Routed`] whose spec is already encoded
+    /// (`spec_json` = [`JobSpec::to_json`]) — the same bytes as
+    /// [`Journal::append`] of the record, without encoding the model a
+    /// second time; the router forwards the same text to the backend.
+    ///
+    /// # Errors
+    ///
+    /// [`JournalError::Io`] when the append or flush fails.
+    pub(crate) fn append_routed(
+        &mut self,
+        gid: u64,
+        client_job: u64,
+        spec_json: &str,
+    ) -> Result<(), JournalError> {
+        self.append_json(&routed_json(gid, client_job, spec_json))
+    }
+
+    fn append_json(&mut self, json: &str) -> Result<(), JournalError> {
+        let mut line = String::with_capacity(json.len() + 18);
+        push_line(&mut line, json);
         self.file
             .write_all(line.as_bytes())
             .and_then(|()| self.file.flush())
@@ -386,6 +402,20 @@ impl Journal {
     pub fn path(&self) -> &Path {
         &self.path
     }
+}
+
+/// A `routed` record's JSON around an already-encoded spec.
+fn routed_json(gid: u64, client_job: u64, spec_json: &str) -> String {
+    use std::fmt::Write as _;
+    let mut json = String::with_capacity(spec_json.len() + 64);
+    write!(
+        json,
+        r#"{{"record":"routed","gid":{gid},"client_job":{client_job},"spec":"#
+    )
+    .expect("formatting into a String never fails");
+    json.push_str(spec_json);
+    json.push('}');
+    json
 }
 
 fn header_json() -> String {
@@ -584,6 +614,45 @@ mod tests {
         assert_eq!(recovery.next_gid, 4);
         assert_eq!(recovery.unsettled[0].client_job, 12);
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn routed_records_from_spec_text_match_the_typed_append() {
+        let typed = scratch("typed");
+        let spliced = scratch("spliced");
+        let (mut a, _) = Journal::open(&typed).expect("fresh journal");
+        let (mut b, _) = Journal::open(&spliced).expect("fresh journal");
+        for (gid, client_job) in [(1, 0), (2, 17), (u64::MAX, u64::MAX)] {
+            let spec = tiny_spec(gid);
+            // the record as the generic value-tree writer builds it
+            let fields: Vec<(String, Value)> = vec![
+                ("record".into(), Value::Str("routed".into())),
+                ("gid".into(), gid.to_value()),
+                ("client_job".into(), client_job.to_value()),
+                ("spec".into(), spec.to_value()),
+            ];
+            let record = JournalRecord::Routed {
+                gid,
+                client_job,
+                spec: spec.clone(),
+            };
+            assert_eq!(
+                record.to_json(),
+                serde_json::to_string(&Value::Object(fields)).unwrap()
+            );
+            a.append(&record).expect("append");
+            b.append_routed(gid, client_job, &spec.to_json())
+                .expect("append");
+        }
+        drop((a, b));
+        let (typed_text, spliced_text) = (
+            std::fs::read_to_string(&typed).expect("read"),
+            std::fs::read_to_string(&spliced).expect("read"),
+        );
+        assert_eq!(typed_text.lines().count(), 4);
+        assert_eq!(spliced_text, typed_text);
+        let _ = std::fs::remove_file(&typed);
+        let _ = std::fs::remove_file(&spliced);
     }
 
     #[test]

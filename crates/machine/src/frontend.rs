@@ -212,12 +212,7 @@ impl Request {
                 spec,
                 priority,
                 deadline_ms,
-            } => {
-                fields.push(("frame".into(), Value::Str("submit".into())));
-                fields.push(("priority".into(), u32::from(*priority).to_value()));
-                fields.push(("deadline_ms".into(), deadline_ms.to_value()));
-                fields.push(("spec".into(), spec.to_value()));
-            }
+            } => return submit_line(&spec.to_json(), *priority, *deadline_ms),
             Request::Cancel { job } => {
                 fields.push(("frame".into(), Value::Str("cancel".into())));
                 fields.push(("job".into(), job.to_value()));
@@ -294,6 +289,53 @@ impl Request {
             other => Err(FrameError::UnknownFrame(other.to_string())),
         }
     }
+}
+
+/// The Submit frame line (no trailing newline) around an already-encoded
+/// spec: `{"schema":…,"frame":"submit","priority":…,"deadline_ms":…,
+/// "spec":<spec_json>}`. With `spec_json = spec.to_json()` this is exactly
+/// [`Request::to_line`] of the Submit, which delegates here — so a caller
+/// that already holds a spec's JSON (the router keeps the text it
+/// journaled) frames it without encoding the model again.
+pub(crate) fn submit_line(spec_json: &str, priority: u8, deadline_ms: Option<u64>) -> String {
+    use std::fmt::Write as _;
+    let mut line = String::with_capacity(spec_json.len() + 96);
+    write!(
+        line,
+        r#"{{"schema":{SCHEMA_VERSION},"frame":"submit","priority":{priority},"deadline_ms":"#
+    )
+    .expect("formatting into a String never fails");
+    match deadline_ms {
+        Some(ms) => write!(line, "{ms}").expect("formatting into a String never fails"),
+        None => line.push_str("null"),
+    }
+    line.push_str(r#","spec":"#);
+    line.push_str(spec_json);
+    line.push('}');
+    line
+}
+
+/// Writes one NDJSON frame — `line` and its newline — with a single
+/// vectored write where the transport takes it whole, so an unbuffered
+/// `TCP_NODELAY` socket never sends the newline as a segment of its own.
+pub(crate) fn write_frame<W: Write>(out: &mut W, line: &[u8]) -> std::io::Result<()> {
+    use std::io::IoSlice;
+    let mut parts = [IoSlice::new(line), IoSlice::new(b"\n")];
+    let mut rest = &mut parts[..];
+    while !rest.is_empty() {
+        match out.write_vectored(rest) {
+            Ok(0) => {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::WriteZero,
+                    "failed to write the whole frame",
+                ))
+            }
+            Ok(written) => IoSlice::advance_slices(&mut rest, written),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    out.flush()
 }
 
 /// A server→client frame.
@@ -1450,14 +1492,9 @@ fn handle_connection(hub: Arc<Hub>, stream: TcpStream) {
         id
     };
     let writer = std::thread::spawn(move || {
-        let mut out = std::io::BufWriter::new(write_half);
+        let mut out = write_half;
         while let Ok(response) = rx.recv() {
-            if out
-                .write_all(response.to_line().as_bytes())
-                .and_then(|()| out.write_all(b"\n"))
-                .and_then(|()| out.flush())
-                .is_err()
-            {
+            if write_frame(&mut out, response.to_line().as_bytes()).is_err() {
                 return; // client stopped reading; reader will notice too
             }
         }
@@ -1523,9 +1560,17 @@ impl NdjsonClient {
     ///
     /// Any socket-level write failure.
     pub fn send(&mut self, request: &Request) -> std::io::Result<()> {
-        self.writer.write_all(request.to_line().as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()
+        self.send_line(&request.to_line())
+    }
+
+    /// Sends one already-encoded request line (no trailing newline; the
+    /// frame's newline is added here), in one write.
+    ///
+    /// # Errors
+    ///
+    /// Any socket-level write failure.
+    pub(crate) fn send_line(&mut self, line: &str) -> std::io::Result<()> {
+        write_frame(&mut self.writer, line.as_bytes())
     }
 
     /// Bounds how long [`NdjsonClient::recv`] blocks (`None` blocks
@@ -1629,6 +1674,117 @@ mod tests {
         b.add_pair(0, 1, 0.5).expect("indices in range");
         JobSpec::new(job, b.build(), SolverSpec::Descent { max_sweeps: 50 }, seed)
             .with_instance_digest(job ^ 0xD1)
+    }
+
+    /// `Request::Submit`'s line as the generic value-tree writer builds it
+    /// — the encoding `submit_line` must reproduce byte for byte.
+    fn value_tree_submit_line(spec: &JobSpec, priority: u8, deadline_ms: Option<u64>) -> String {
+        let fields: Vec<(String, Value)> = vec![
+            ("schema".into(), SCHEMA_VERSION.to_value()),
+            ("frame".into(), Value::Str("submit".into())),
+            ("priority".into(), u32::from(priority).to_value()),
+            ("deadline_ms".into(), deadline_ms.to_value()),
+            ("spec".into(), spec.to_value()),
+        ];
+        serde_json::to_string(&Value::Object(fields)).unwrap()
+    }
+
+    #[test]
+    fn spliced_submit_lines_match_the_value_tree_encoding() {
+        let mut dense = QuboBuilder::new(5);
+        for i in 0..5 {
+            dense.add_linear(i, -1.5 + i as f64 / 3.0).unwrap();
+            for j in i + 1..5 {
+                dense.add_pair(i, j, 1e-3 * (i * j) as f64 - 0.25).unwrap();
+            }
+        }
+        let specs = [
+            toy_spec(7, 11),
+            JobSpec::new(
+                u64::MAX,
+                dense.build(),
+                SolverSpec::Ensemble(EnsembleConfig {
+                    replicas: 3,
+                    ..EnsembleConfig::default()
+                }),
+                0,
+            )
+            .with_instance_digest(u64::MAX - 1),
+        ];
+        for spec in &specs {
+            for priority in [0, 1, 7, 255] {
+                for deadline_ms in [None, Some(0), Some(1500), Some(u64::MAX)] {
+                    let want = value_tree_submit_line(spec, priority, deadline_ms);
+                    assert_eq!(submit_line(&spec.to_json(), priority, deadline_ms), want);
+                    let request = Request::Submit {
+                        spec: spec.clone(),
+                        priority,
+                        deadline_ms,
+                    };
+                    assert_eq!(request.to_line(), want);
+                    assert_eq!(Request::from_line(&want).unwrap(), request);
+                }
+            }
+        }
+    }
+
+    /// A writer that records each write call and accepts at most `cap`
+    /// bytes per call, across all the slices of a vectored write.
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        calls: usize,
+        cap: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[std::io::IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[std::io::IoSlice<'_>]) -> std::io::Result<usize> {
+            self.calls += 1;
+            let mut taken = 0;
+            for buf in bufs {
+                let take = buf.len().min(self.cap - taken);
+                self.bytes.extend_from_slice(&buf[..take]);
+                taken += take;
+            }
+            Ok(taken)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_leaves_in_one_write_when_the_transport_takes_it() {
+        let line = Request::Submit {
+            spec: toy_spec(3, 4),
+            priority: 2,
+            deadline_ms: Some(9),
+        }
+        .to_line();
+        let framed = format!("{line}\n").into_bytes();
+        let mut whole = CountingWriter {
+            bytes: Vec::new(),
+            calls: 0,
+            cap: usize::MAX,
+        };
+        write_frame(&mut whole, line.as_bytes()).unwrap();
+        assert_eq!(whole.calls, 1, "line and newline go out together");
+        assert_eq!(whole.bytes, framed);
+        // short writes resume where the transport stopped, newline included
+        for cap in [1, 7, line.len(), line.len() + 1] {
+            let mut short = CountingWriter {
+                bytes: Vec::new(),
+                calls: 0,
+                cap,
+            };
+            write_frame(&mut short, line.as_bytes()).unwrap();
+            assert_eq!(short.bytes, framed, "cap {cap}");
+            assert_eq!(short.calls, framed.len().div_ceil(cap), "cap {cap}");
+        }
     }
 
     /// A reader that replays a script of byte chunks and `EINTR`s (`None`)
